@@ -26,7 +26,6 @@ logger hierarchy configured by :func:`repro.obs.configure_logging`.
 
 from .core import (
     DEFAULT_PLATFORMS,
-    PLATFORM_BUILDERS,
     compare_platforms,
     filtered_similarity_matrix,
     simulate_traces,
@@ -65,7 +64,6 @@ __all__ = [
     "simulate_workload",
     "simulate_traces",
     "compare_platforms",
-    "PLATFORM_BUILDERS",
     "DEFAULT_PLATFORMS",
     "REGISTRY",
     "RunSpec",

@@ -45,13 +45,14 @@ the baseline store and fails on deterministic-counter drift, ``obs
 provenance`` validates artifact stamps, and ``obs dashboard`` renders
 metric trends as static HTML. ``repro bench`` appends every run to the
 append-only history under ``results/obs/bench_history/``; ``obs bench
-record|compare|trend`` ingests legacy BENCH files, gates the newest
-entry (deterministic checks exactly, timings statistically), and
-renders changepoint-annotated trends. ``serve --request-trace`` joins every
-response to a per-stage span tree with SLO budget attribution and tail
-exemplars; ``--window-seconds`` adds windowed rates/quantiles that
-``obs tail`` replays from a RunReport or ``--window-log`` JSONL file,
-and ``--expo`` writes a Prometheus-style text exposition. ``--profile``
+record|compare|trend`` ingests BENCH files, gates the newest entry
+(deterministic checks exactly, timings statistically), and renders
+changepoint-annotated trends. ``obs diff``, ``obs check`` and ``obs
+bench compare`` share one comparator (:mod:`repro.obs.regress`).
+``serve --request-trace`` joins every response to a per-stage span tree
+with SLO budget attribution and tail exemplars; ``--window-seconds``
+adds windowed rates/quantiles that ``obs tail`` replays from a RunReport
+or ``--window-log`` JSONL file, and ``--expo`` writes a Prometheus-style text exposition. ``--profile``
 (on ``simulate`` and
 ``experiments``) cProfiles the run into collapsed stacks loadable in
 speedscope or flamegraph tooling.
@@ -178,7 +179,6 @@ def _run_simulate(args, timer) -> int:
             batch_size=args.batch,
             seed=args.seed,
             jobs=args.jobs,
-            backend=getattr(args, "backend", None),
         )
         print(
             f"{args.model} on {args.dataset} "
@@ -199,9 +199,7 @@ def _run_simulate(args, timer) -> int:
                     simulator = DetailedSimulator(simulator.config)
                 results[platform] = simulator.simulate_batches(traces)
         else:
-            results = simulate_traces(
-                traces, args.platforms, backend=getattr(args, "backend", None)
-            )
+            results = simulate_traces(traces, args.platforms)
     if args.config:
         import json
 
@@ -355,7 +353,7 @@ def _cmd_obs(args) -> int:
     """Inspect RunReport artifacts: show, validate, or diff."""
     import json
 
-    from .obs import RunReport, diff_reports, validate_report
+    from .obs import RunReport, compare_reports, validate_report
 
     if args.obs_command == "show":
         print(RunReport.load(args.report).render())
@@ -373,8 +371,33 @@ def _cmd_obs(args) -> int:
             f"(schema v{payload['schema_version']})"
         )
         return 0
-    print(diff_reports(RunReport.load(args.old), RunReport.load(args.new)))
+    # The diff is the check's comparison, printed and never gated.
+    old, new = RunReport.load(args.old), RunReport.load(args.new)
+    print(compare_reports(old, new).render())
     return 0
+
+
+def _finish_comparison(reports, json_out) -> int:
+    """Shared tail of ``obs check`` and ``obs bench compare``: print
+    every RegressionReport, optionally write them all as a JSON list,
+    and exit 1 if any report failed, else with the highest exit code."""
+    import json
+
+    for report in reports:
+        print(report.render())
+        print()
+    if json_out:
+        with open(json_out, "w") as handle:
+            json.dump(
+                [report.to_dict() for report in reports],
+                handle,
+                indent=2,
+                sort_keys=True,
+            )
+            handle.write("\n")
+        print(f"wrote {len(reports)} RegressionReport(s) to {json_out}")
+    codes = {report.exit_code for report in reports}
+    return 1 if 1 in codes else max(codes)
 
 
 def _cmd_obs_check(args) -> int:
@@ -383,9 +406,7 @@ def _cmd_obs_check(args) -> int:
     Exit codes: 0 clean (or baseline created with ``--update``),
     1 regressions found, 2 no baseline to compare against.
     """
-    import json
-
-    from .obs import BaselineStore, RegressionPolicy, RunReport, compare_reports
+    from .obs import BaselineStore, RegressionReport, RunReport, compare_reports
 
     current = RunReport.load(args.report)
     store = BaselineStore(args.baseline_dir)
@@ -407,22 +428,15 @@ def _cmd_obs_check(args) -> int:
             f"no baseline for {current.spec.stem} under {store.root} "
             "(run with --update to create one)"
         )
-        return 2
-    policy = RegressionPolicy(timing_rel_tol=args.timing_tol)
-    result = compare_reports(baseline, current, policy)
-    print(f"baseline: {baseline_name}")
-    print(result.render())
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote RegressionReport to {args.json_out}")
-    if not result.ok:
-        return 1
-    if args.update:
+        result = RegressionReport(subject=current.spec.stem)
+    else:
+        print(f"baseline: {baseline_name}")
+        result = compare_reports(baseline, current, args.timing_tol)
+    status = _finish_comparison([result], args.json_out)
+    if status == 0 and args.update:
         path = store.save(current, retain=args.retain)
         print(f"archived clean run as new baseline {path}")
-    return 0
+    return status
 
 
 def _cmd_obs_provenance(args) -> int:
@@ -592,20 +606,7 @@ def _cmd_obs_bench(args) -> int:
         if not comparisons:
             print(f"no bench history under {history.root}")
             return 2
-        for comparison in comparisons:
-            print(comparison.render())
-            print()
-        if args.json_out:
-            payload = {
-                "schema_version": 1,
-                "kind": "repro-bench-compare-report",
-                "comparisons": [c.to_dict() for c in comparisons],
-            }
-            with open(args.json_out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote comparison report to {args.json_out}")
-        return max(comparison.exit_code for comparison in comparisons)
+        return _finish_comparison(comparisons, args.json_out)
 
     # trend
     if args.markdown:
@@ -916,13 +917,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="worker processes for batch-aligned chunked simulation",
     )
     simulate.add_argument(
-        "--backend",
-        choices=("batched", "serial"),
-        default=None,
-        help="simulation engine backend (serial = deprecated per-pair "
-        "reference loop, kept one more release cycle)",
-    )
-    simulate.add_argument(
         "--quick",
         action="store_true",
         help="smoke-test workload size (overrides --pairs/--batch)",
@@ -1184,7 +1178,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_validate.add_argument("report")
     obs_validate.set_defaults(handler=_cmd_obs)
     obs_diff = obs_sub.add_parser(
-        "diff", help="field-by-field diff of two RunReports"
+        "diff",
+        help="compare two RunReports the way obs check does, never failing",
     )
     obs_diff.add_argument("old")
     obs_diff.add_argument("new")
@@ -1233,7 +1228,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_check.add_argument(
         "--json-out",
         metavar="FILE",
-        help="also write the RegressionReport as JSON",
+        help="also write the RegressionReport as JSON (a one-item list)",
     )
     obs_check.set_defaults(handler=_cmd_obs_check)
 
@@ -1327,7 +1322,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_bench_compare.add_argument(
         "--json-out",
         metavar="FILE",
-        help="also write the comparison report as JSON",
+        help="also write the RegressionReports as a JSON list",
     )
     _add_history_argument(obs_bench_compare)
     obs_bench_compare.set_defaults(handler=_cmd_obs_bench)

@@ -14,14 +14,12 @@ Three entry points cover the common uses of this reproduction:
 Platform names are resolved through
 :data:`repro.platforms.REGISTRY`, so every entry point accepts spec
 strings (``"CEGMA@bandwidth_gbps=512"``) in addition to registered
-names. The old ``PLATFORM_BUILDERS`` dict survives as a deprecated
-read-only view over the registry.
+names.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +29,10 @@ from ..graphs.datasets import load_dataset
 from ..models import build_model, similarity_matrix
 from ..obs.tracing import span
 from ..platforms import DEFAULT_PLATFORMS, REGISTRY, RunSpec
-from ..platforms.registry import Platform
 from ..sim import PlatformResult
 from ..trace.profiler import BatchTrace, profile_batches
 
 __all__ = [
-    "PLATFORM_BUILDERS",
     "DEFAULT_PLATFORMS",
     "filtered_similarity_matrix",
     "simulate_workload",
@@ -44,31 +40,6 @@ __all__ = [
     "compare_platforms",
     "serve_query_stream",
 ]
-
-
-class _RegistryBuilders(Mapping):
-    """Deprecated read-only dict view over the platform registry.
-
-    Kept so downstream ``PLATFORM_BUILDERS[name]()`` /
-    ``sorted(PLATFORM_BUILDERS)`` code keeps working; new code should
-    use :data:`repro.platforms.REGISTRY` directly.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[], Platform]:
-        return REGISTRY.builder(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(REGISTRY.names())
-
-    def __len__(self) -> int:
-        return len(REGISTRY)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PLATFORM_BUILDERS(deprecated view of {REGISTRY!r})"
-
-
-#: Deprecated: use ``repro.platforms.REGISTRY`` instead.
-PLATFORM_BUILDERS = _RegistryBuilders()
 
 
 def filtered_similarity_matrix(

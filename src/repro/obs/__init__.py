@@ -22,9 +22,15 @@ is only useful if something notices when it changes:
 
 - :mod:`repro.obs.baseline` — archives known-good RunReports under
   ``results/obs/baselines/`` keyed by RunSpec, with retention.
-- :mod:`repro.obs.regress` — compares a fresh report against its
-  baseline (deterministic counters exact, timings within tolerance)
-  and powers ``repro obs check``.
+- :mod:`repro.obs.regress` — the one comparison core: an exact-compare
+  loop (deterministic names must match, the rest is info), one timing
+  verdict (median ± k·MAD intervals with enough samples, else a ratio
+  band at the caller's tolerance) and one :class:`RegressionReport`
+  (exit 0 clean / 1 finding / 2 warning or no baseline). Three thin
+  adapters feed it: :func:`compare_reports` for ``repro obs check``
+  and ``repro obs diff`` (RunReports), and
+  :func:`~repro.obs.analytics.compare_entry` for ``repro obs bench
+  compare`` (bench-history entries).
 - :mod:`repro.obs.provenance` — stamps every written artifact with
   RunSpec + git SHA + timestamp + metrics digest
   (``repro obs provenance FILE`` inspects it).
@@ -37,10 +43,10 @@ is only useful if something notices when it changes:
   under ``results/obs/bench_history/``: every ``repro bench`` run is
   one schema-versioned JSONL entry, idempotently keyed by content
   digest.
-- :mod:`repro.obs.analytics` — noise-aware analytics over that
-  history: statistical timing gates (median ± k·MAD intervals),
-  changepoint-annotated trends, and per-stage slowdown attribution
-  against serving budget histograms.
+- :mod:`repro.obs.analytics` — analytics over that history: the
+  bench-entry adapter of the comparison core, changepoint-annotated
+  trends, and per-stage slowdown attribution against serving budget
+  histograms.
 
 The **request-scoped layer** serves the long-lived serving pipeline,
 where run-scoped aggregates are blind:
@@ -61,7 +67,6 @@ hierarchy used by the library in place of ``print``.
 """
 
 from .analytics import (
-    BenchComparison,
     attribute_stages,
     compare_entry,
     compare_history,
@@ -70,7 +75,6 @@ from .analytics import (
     render_markdown_table,
     render_trend,
     stage_budget_means,
-    timing_decision,
     trend_report,
 )
 from .baseline import BaselineStore, spec_key
@@ -114,16 +118,15 @@ from .regress import (
     DETERMINISTIC_PREFIXES,
     SERVING_DETERMINISTIC_PREFIXES,
     Finding,
-    RegressionPolicy,
     RegressionReport,
     compare_reports,
+    timing_decision,
 )
 from .report import (
     RUN_REPORT_SCHEMA_VERSION,
     SUPPORTED_SCHEMA_VERSIONS,
     RunReport,
     default_report_path,
-    diff_reports,
     validate_report,
 )
 from .timeseries import TimeseriesRecorder, Window, delta_quantile
@@ -145,15 +148,14 @@ __all__ = [
     "RUN_REPORT_SCHEMA_VERSION",
     "SUPPORTED_SCHEMA_VERSIONS",
     "default_report_path",
-    "diff_reports",
     "validate_report",
     "configure_logging",
     "BaselineStore",
     "spec_key",
     "DETERMINISTIC_PREFIXES",
-    "RegressionPolicy",
     "RegressionReport",
     "Finding",
+    "timing_decision",
     "compare_reports",
     "current_git_sha",
     "now_iso",
@@ -187,8 +189,6 @@ __all__ = [
     "config_digest",
     "DEFAULT_HISTORY_DIR",
     "HISTORY_SCHEMA_VERSION",
-    "BenchComparison",
-    "timing_decision",
     "compare_entry",
     "compare_history",
     "detect_changepoints",

@@ -3,16 +3,12 @@
 Three consumers sit on top of :class:`~repro.obs.history.BenchHistory`:
 
 - :func:`compare_entry` — the regression gate behind ``repro obs bench
-  compare``. Deterministic check values (equivalence verdicts, unique
-  counts, dedup totals) must match the latest comparable baseline
-  **exactly**; wall-clock timings get a statistical decision
-  (:func:`timing_decision`) built from the raw per-repeat samples the
-  v2 :class:`~repro.perf.timing.BenchReport` retains — median ± k·MAD
-  confidence intervals with a minimum-effect threshold, falling back to
-  a deliberately wide ratio band when either side is a legacy
-  single-number entry. Timing regressions *warn* (exit 2); check drift
-  *fails* (exit 1) — the same honest/deterministic split
-  :mod:`repro.obs.regress` applies to RunReports.
+  compare``: an adapter that hands a history entry's checks and raw
+  per-repeat timing samples to the comparison core in
+  :mod:`repro.obs.regress`. Deterministic check values (equivalence
+  verdicts, unique counts, dedup totals) must match the latest
+  comparable baseline **exactly** (exit 1); timings get the core's
+  :func:`~repro.obs.regress.timing_decision` and *warn* (exit 2).
 - :func:`trend_report` — rolling metric series (one point per history
   entry, timings as sample medians) with a sliding z-score
   :func:`detect_changepoints` pass that flags the entry — and therefore
@@ -29,19 +25,15 @@ decision path, so the gate runs identically everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .history import BenchHistory, HistoryEntry
-from .regress import Finding, RegressionPolicy
+from .regress import RegressionReport, compare_exact, compare_timings, median
 
 __all__ = [
-    "COMPARISON_SCHEMA_VERSION",
-    "COMPARISON_KIND",
-    "median",
-    "mad",
-    "timing_decision",
-    "BenchComparison",
+    "BENCH_TIMING_TOL",
+    "ENVIRONMENTAL_CHECK_MARKERS",
+    "is_environmental_check",
     "compare_entry",
     "compare_history",
     "metric_names",
@@ -55,182 +47,22 @@ __all__ = [
     "render_attribution",
 ]
 
-COMPARISON_SCHEMA_VERSION = 1
-COMPARISON_KIND = "repro-bench-comparison"
+#: Ratio band for timings with too few samples for the interval test:
+#: wide on purpose, so a 2x slowdown still trips and noise does not.
+BENCH_TIMING_TOL = 0.5
 
-#: Consistency constant relating MAD to the standard deviation of a
-#: normal distribution (sigma ~= 1.4826 * MAD).
-_MAD_SIGMA = 1.4826
-
-
-def median(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("median of empty sequence")
-    ordered = sorted(float(v) for v in values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+#: Check-name substrings of host-dependent values (throughput, latency
+#: quantiles, per-pass averages), which are never gated exactly.
+ENVIRONMENTAL_CHECK_MARKERS: Tuple[str, ...] = ("seconds", "per_second")
 
 
-def mad(values: Sequence[float]) -> float:
-    """Median absolute deviation — the robust spread estimate."""
-    center = median(values)
-    return median([abs(float(v) - center) for v in values])
-
-
-def _interval(values: Sequence[float], k: float) -> Tuple[float, float, float]:
-    """(median, lo, hi): a median ± k·sigma_MAD/sqrt(n) interval."""
-    center = median(values)
-    half = k * _MAD_SIGMA * mad(values) / math.sqrt(len(values))
-    return center, center - half, center + half
-
-
-def timing_decision(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    policy: Optional[RegressionPolicy] = None,
-) -> Dict[str, object]:
-    """Statistical verdict on one timing variant.
-
-    With enough raw samples on both sides (``policy.bench_min_samples``)
-    the decision is CI-overlap: *regressed* only when the current
-    median exceeds the baseline median by more than
-    ``bench_min_effect`` (relative) **and** the two median±k·MAD/√n
-    intervals are disjoint — so a byte-identical rerun (identical
-    samples, identical intervals) can never be flagged, and ordinary
-    repeat-to-repeat noise widens the intervals until it silences
-    itself. *improved* is the symmetric verdict. Without samples
-    (legacy single-number entries) only a ratio beyond the wide
-    ``bench_fallback_rel_tol`` band is called: a 2x slowdown still
-    trips, noise does not.
-    """
-    policy = policy if policy is not None else RegressionPolicy()
-    base = [float(v) for v in baseline]
-    cur = [float(v) for v in current]
-    if not base or not cur:
-        return {"decision": "no-data", "method": "none"}
-    base_med = median(base)
-    cur_med = median(cur)
-    ratio = cur_med / base_med if base_med > 0 else float("inf")
-    effect = ratio - 1.0 if base_med > 0 else float("inf")
-    result: Dict[str, object] = {
-        "baseline_median": base_med,
-        "current_median": cur_med,
-        "baseline_n": len(base),
-        "current_n": len(cur),
-        "ratio": ratio,
-        "effect": effect,
-    }
-    if (
-        len(base) >= policy.bench_min_samples
-        and len(cur) >= policy.bench_min_samples
-    ):
-        _, base_lo, base_hi = _interval(base, policy.bench_mad_k)
-        _, cur_lo, cur_hi = _interval(cur, policy.bench_mad_k)
-        result["method"] = "ci-overlap"
-        result["baseline_interval"] = [base_lo, base_hi]
-        result["current_interval"] = [cur_lo, cur_hi]
-        if effect > policy.bench_min_effect and cur_lo > base_hi:
-            result["decision"] = "regressed"
-        elif effect < -policy.bench_min_effect and cur_hi < base_lo:
-            result["decision"] = "improved"
-        else:
-            result["decision"] = "ok"
-    else:
-        result["method"] = "ratio-fallback"
-        band = policy.bench_fallback_rel_tol
-        if effect > band:
-            result["decision"] = "regressed"
-        elif base_med > 0 and ratio < 1.0 / (1.0 + band):
-            result["decision"] = "improved"
-        else:
-            result["decision"] = "ok"
-    return result
+def is_environmental_check(name: str) -> bool:
+    """Bench check values that move with the host, not the code."""
+    return any(marker in name for marker in ENVIRONMENTAL_CHECK_MARKERS)
 
 
 # ---------------------------------------------------------------------------
-# Regression gate
-
-
-@dataclass
-class BenchComparison:
-    """Outcome of gating one bench entry against its history.
-
-    ``findings`` are hard failures (deterministic check drift, exit 1);
-    ``warnings`` are statistical timing regressions (exit 2, the
-    "probably slower — look" band); ``infos`` are observations
-    (improvements, environmental check drift). ``status`` is one of
-    ``ok`` / ``regressed`` / ``warned`` / ``no-baseline``.
-    """
-
-    bench: str
-    baseline_id: str = ""
-    current_id: str = ""
-    status: str = "ok"
-    findings: List[Finding] = field(default_factory=list)
-    warnings: List[Finding] = field(default_factory=list)
-    infos: List[Finding] = field(default_factory=list)
-
-    @property
-    def exit_code(self) -> int:
-        if self.findings:
-            return 1
-        if self.warnings or self.status == "no-baseline":
-            return 2
-        return 0
-
-    def resolve_status(self) -> None:
-        if self.status == "no-baseline":
-            return
-        if self.findings:
-            self.status = "regressed"
-        elif self.warnings:
-            self.status = "warned"
-        else:
-            self.status = "ok"
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema_version": COMPARISON_SCHEMA_VERSION,
-            "kind": COMPARISON_KIND,
-            "bench": self.bench,
-            "baseline_id": self.baseline_id,
-            "current_id": self.current_id,
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "findings": [item.to_dict() for item in self.findings],
-            "warnings": [item.to_dict() for item in self.warnings],
-            "infos": [item.to_dict() for item in self.infos],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"== bench compare: {self.bench} "
-            f"({self.current_id or 'current'} vs "
-            f"{self.baseline_id or 'no baseline'}) =="
-        ]
-        if self.status == "no-baseline":
-            lines.append(
-                "NO BASELINE: no prior history entry with a matching "
-                "config (record one with `repro obs bench record`)"
-            )
-            return "\n".join(lines)
-        if self.findings:
-            lines.append(f"REGRESSIONS ({len(self.findings)}):")
-            lines.extend(f"  {item.render()}" for item in self.findings)
-        if self.warnings:
-            lines.append(f"timing warnings ({len(self.warnings)}):")
-            lines.extend(f"  {item.render()}" for item in self.warnings)
-        if not self.findings and not self.warnings:
-            lines.append(
-                "OK: deterministic checks match; timings within the "
-                "statistical band"
-            )
-        if self.infos:
-            lines.append(f"info ({len(self.infos)}):")
-            lines.extend(f"  {item.render()}" for item in self.infos)
-        return "\n".join(lines)
+# Regression gate: the bench-history adapter over repro.obs.regress
 
 
 def _entry_label(entry: HistoryEntry) -> str:
@@ -238,18 +70,26 @@ def _entry_label(entry: HistoryEntry) -> str:
     return f"{entry.entry_id}@{sha}"
 
 
-def _is_environmental_value(name: str, value: object, policy) -> bool:
-    if policy.is_environmental_check(name):
-        return True
-    return not isinstance(value, (bool, int, float, str))
+def _gated_checks(baseline: HistoryEntry, candidate: HistoryEntry) -> set:
+    """Check names that must match exactly: recorded in the baseline,
+    scalar-valued, and not host-dependent. A check the baseline never
+    recorded has nothing to be exact against, so it is info."""
+    gated = set()
+    for name, value in baseline.checks.items():
+        current = candidate.checks.get(name)
+        reference = current if current is not None else value
+        if not is_environmental_check(name) and isinstance(
+            reference, (bool, int, float, str)
+        ):
+            gated.add(name)
+    return gated
 
 
 def compare_entry(
     history: Sequence[HistoryEntry],
     candidate: HistoryEntry,
-    policy: Optional[RegressionPolicy] = None,
     explicit: bool = False,
-) -> BenchComparison:
+) -> RegressionReport:
     """Gate one entry against the latest comparable history entry.
 
     Comparable means: same bench, same config digest (quick-mode runs
@@ -259,10 +99,13 @@ def compare_entry(
     the history (``--candidate``): if its content digest already exists
     in the store it is an exact duplicate of a gated entry, which
     passes rather than reporting a missing baseline.
+
+    Deterministic check drift is a finding (exit 1); a timing the
+    verdict calls regressed is a warning (exit 2), because wall clocks
+    are not comparable across hosts.
     """
-    policy = policy if policy is not None else RegressionPolicy()
-    result = BenchComparison(
-        bench=candidate.bench, current_id=_entry_label(candidate)
+    result = RegressionReport(
+        subject=candidate.bench, current_id=_entry_label(candidate)
     )
     comparable = [
         entry
@@ -279,77 +122,27 @@ def compare_entry(
             entry.entry_id == candidate.entry_id for entry in history
         ):
             result.baseline_id = result.current_id
-            result.status = "ok"
-            return result
-        result.status = "no-baseline"
         return result
     baseline = comparable[-1]
     result.baseline_id = _entry_label(baseline)
+    compare_exact(
+        "check",
+        baseline.checks,
+        candidate.checks,
+        _gated_checks(baseline, candidate),
+        result,
+    )
 
-    # Deterministic check values: exact match, like sim.* counters in
-    # `obs check`. Environmental check values (throughput, latency
-    # quantiles) are info-only.
-    for name in sorted(set(baseline.checks) | set(candidate.checks)):
-        base_value = baseline.checks.get(name)
-        cur_value = candidate.checks.get(name)
-        reference = cur_value if cur_value is not None else base_value
-        environmental = _is_environmental_value(name, reference, policy)
-        sink = result.infos if environmental else result.findings
-        if name not in candidate.checks:
-            sink.append(
-                Finding("check", name, base_value, None, "missing from run")
-            )
-        elif name not in baseline.checks:
-            result.infos.append(
-                Finding("check", name, None, cur_value, "not in baseline")
-            )
-        elif base_value != cur_value:
-            sink.append(Finding("check", name, base_value, cur_value))
+    def samples(entry: HistoryEntry) -> Dict[str, List[float]]:
+        return {name: entry.sample_values(name) for name in entry.timings}
 
-    # Timings: statistical decision per variant from the raw samples.
-    for variant in sorted(
-        set(baseline.timings) & set(candidate.timings)
-    ):
-        verdict = timing_decision(
-            baseline.sample_values(variant),
-            candidate.sample_values(variant),
-            policy,
-        )
-        decision = verdict.get("decision")
-        detail = (
-            f"{verdict['method']}: ratio {verdict.get('ratio', 0.0):.3f} "
-            f"(n={verdict.get('baseline_n')}->{verdict.get('current_n')})"
-        )
-        finding = Finding(
-            "timing",
-            variant,
-            verdict.get("baseline_median"),
-            verdict.get("current_median"),
-            detail,
-        )
-        if decision == "regressed":
-            result.warnings.append(finding)
-        elif decision == "improved":
-            result.infos.append(
-                Finding(
-                    "timing",
-                    variant,
-                    verdict.get("baseline_median"),
-                    verdict.get("current_median"),
-                    f"improved; {detail}",
-                )
-            )
-    for variant in sorted(set(baseline.timings) - set(candidate.timings)):
-        result.infos.append(
-            Finding(
-                "timing",
-                variant,
-                baseline.timings[variant],
-                None,
-                "variant missing from run",
-            )
-        )
-    result.resolve_status()
+    compare_timings(
+        samples(baseline),
+        samples(candidate),
+        BENCH_TIMING_TOL,
+        result,
+        result.warnings,
+    )
     return result
 
 
@@ -357,8 +150,7 @@ def compare_history(
     history: BenchHistory,
     benches: Optional[Sequence[str]] = None,
     candidates: Optional[Dict[str, HistoryEntry]] = None,
-    policy: Optional[RegressionPolicy] = None,
-) -> List[BenchComparison]:
+) -> List[RegressionReport]:
     """Gate each bench's newest (or supplied candidate) entry.
 
     Without explicit ``candidates`` the newest recorded entry per bench
@@ -366,19 +158,19 @@ def compare_history(
     regress anything" CI shape.
     """
     names = list(benches) if benches else history.benches()
-    results: List[BenchComparison] = []
+    results: List[RegressionReport] = []
     for name in names:
         entries = history.read(name)
         candidate = (candidates or {}).get(name)
-        explicit = candidate is not None
-        if candidate is None:
-            if not entries:
-                comparison = BenchComparison(bench=name, status="no-baseline")
-                results.append(comparison)
-                continue
-            candidate = entries[-1]
+        if candidate is None and not entries:
+            results.append(RegressionReport(subject=name))
+            continue
         results.append(
-            compare_entry(entries, candidate, policy, explicit=explicit)
+            compare_entry(
+                entries,
+                candidate if candidate is not None else entries[-1],
+                explicit=candidate is not None,
+            )
         )
     return results
 
@@ -555,8 +347,8 @@ def stage_budget_means(report) -> Dict[str, float]:
     """Mean seconds per serving stage from a RunReport's
     ``search.serve.budget_seconds{stage=...}`` histograms.
 
-    Returns an empty dict for reports without serving telemetry (v1/v2
-    artifacts, or batch runs that never served).
+    Returns an empty dict for reports without serving telemetry (batch
+    runs that never served).
     """
     from .export import split_metric_key
 

@@ -43,7 +43,7 @@ DEFAULT_BASELINE_DIR = Path("results") / "obs" / "baselines"
 #: Default number of baselines kept per spec key.
 DEFAULT_RETAIN = 20
 
-#: Timestamp used in file names when a report has no created_at (v1).
+#: Timestamp used in file names when a report has no created_at.
 _EPOCH_STAMP = "00000000T000000Z"
 
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .baseline import BaselineStore
 from .history import BenchHistory
-from .regress import RegressionPolicy
+from .regress import is_deterministic
 from .report import RunReport
 
 __all__ = ["render_dashboard", "write_dashboard", "DEFAULT_DASHBOARD_PATH"]
@@ -132,7 +132,7 @@ def _series_rows(
 
 
 def _collect(
-    reports: Sequence[RunReport], policy: RegressionPolicy
+    reports: Sequence[RunReport],
 ) -> Tuple[Dict[str, List[Optional[float]]], Dict[str, List[Optional[float]]]]:
     """(deterministic counter series, stage-seconds series) per metric."""
     counters: Dict[str, List[Optional[float]]] = {}
@@ -141,7 +141,7 @@ def _collect(
         name
         for report in reports
         for name in report.metrics.counters
-        if policy.is_deterministic(name)
+        if is_deterministic(name)
     }
     stages = {stage for report in reports for stage in report.timings}
     for report in reports:
@@ -337,12 +337,10 @@ def _attribution_rows(store: BaselineStore) -> List[str]:
 
 def render_dashboard(
     store: BaselineStore,
-    policy: Optional[RegressionPolicy] = None,
     max_points: int = 30,
     history: Optional[BenchHistory] = None,
 ) -> str:
     """The dashboard HTML for a baseline store (empty store included)."""
-    policy = policy if policy is not None else RegressionPolicy()
     parts = [
         "<!doctype html>",
         '<html><head><meta charset="utf-8">',
@@ -395,7 +393,7 @@ def render_dashboard(
         )
         if not reports:
             continue
-        counters, timings = _collect(reports, policy)
+        counters, timings = _collect(reports)
         parts.extend(_series_rows(counters, "deterministic counter"))
         parts.extend(_series_rows(timings, "stage seconds"))
         parts.extend(_serving_rows(reports[-1]))
@@ -406,7 +404,6 @@ def render_dashboard(
 def write_dashboard(
     store: BaselineStore,
     path: Union[str, Path, None] = None,
-    policy: Optional[RegressionPolicy] = None,
     max_points: int = 30,
     history: Optional[BenchHistory] = None,
 ) -> Path:
@@ -416,9 +413,7 @@ def write_dashboard(
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
         handle.write(
-            render_dashboard(
-                store, policy=policy, max_points=max_points, history=history
-            )
+            render_dashboard(store, max_points=max_points, history=history)
         )
         handle.write("\n")
     return path

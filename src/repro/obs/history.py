@@ -178,11 +178,11 @@ class HistoryEntry:
     # -- ingestion ---------------------------------------------------------
     @classmethod
     def from_bench_report(cls, payload: Dict[str, object]) -> "HistoryEntry":
-        """Build an entry from a ``BENCH_*.json`` payload (v1 or v2).
+        """Build an entry from a ``BENCH_*.json`` payload.
 
         Goes through :meth:`BenchReport.from_dict
-        <repro.perf.timing.BenchReport.from_dict>` so the legacy-schema
-        handling (and its unknown-version error) lives in one place.
+        <repro.perf.timing.BenchReport.from_dict>` so the schema check
+        (and its unknown-version error) lives in one place.
         The ``entry_id`` is a digest of the whole normalized payload:
         the same file ingests to the same id every time, which is what
         makes :meth:`BenchHistory.append` idempotent.

@@ -4,9 +4,9 @@ One :class:`RunReport` captures everything a run observed — the metrics
 registry snapshot, the span events, and the wall-clock
 :class:`~repro.perf.timing.StageTimer` stages — keyed by the run's
 :class:`~repro.platforms.runspec.RunSpec`. Reports are written as JSON
-under ``results/obs/`` so regressions show up as a diff between two
-files (``python -m repro obs diff a.json b.json``) instead of requiring
-a figure-script rerun.
+under ``results/obs/`` so regressions show up by comparing two files
+(``python -m repro obs diff a.json b.json``, see :mod:`repro.obs.regress`)
+instead of requiring a figure-script rerun.
 
 The schema is versioned independently of the other artifact formats:
 bump :data:`RUN_REPORT_SCHEMA_VERSION` on any layout change so old
@@ -33,19 +33,16 @@ __all__ = [
     "SUPPORTED_SCHEMA_VERSIONS",
     "REPORT_KIND",
     "default_report_path",
-    "diff_reports",
     "validate_report",
 ]
 
-# v1: spec + metrics + spans + timings. v2 adds run identity: created_at
+# v1: spec + metrics + spans + timings. v2 added run identity: created_at
 # (wall clock, via the REPRO_CREATED_AT env seam) and git_sha (via
-# REPRO_GIT_SHA). v3 adds the serving-telemetry sections: "windows"
+# REPRO_GIT_SHA). v3 added the serving-telemetry sections: "windows"
 # (TimeseriesRecorder snapshots) and "exemplars" (ExemplarBuffer span
-# trees). Older payloads still load — v1 identity fields come back as
-# None, v1/v2 telemetry sections as empty lists — so pre-existing
-# baselines stay readable.
+# trees). Only v3 is read; the committed artifacts were migrated.
 RUN_REPORT_SCHEMA_VERSION = 3
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
+SUPPORTED_SCHEMA_VERSIONS = (RUN_REPORT_SCHEMA_VERSION,)
 REPORT_KIND = "repro-run-report"
 
 #: Default artifact directory, relative to the working directory.
@@ -54,11 +51,9 @@ DEFAULT_REPORT_DIR = Path("results") / "obs"
 #: Top-level keys every valid report payload must carry.
 REQUIRED_KEYS = ("schema_version", "kind", "spec", "metrics", "spans", "timings")
 
-#: Keys additionally required from schema v2 on.
-REQUIRED_KEYS_V2 = ("created_at", "git_sha")
-
-#: Keys additionally required from schema v3 on.
-REQUIRED_KEYS_V3 = ("windows", "exemplars")
+#: Run identity keys (string or null) and serving-telemetry keys (lists).
+IDENTITY_KEYS = ("created_at", "git_sha")
+TELEMETRY_KEYS = ("windows", "exemplars")
 
 
 class RunReport:
@@ -139,18 +134,12 @@ class RunReport:
             from ..platforms.runspec import RunSpec  # deferred: avoids cycle
 
             report.spec = RunSpec.from_dict(payload["spec"])
-        # v1 reports predate run identity; they load with None in both
-        # fields rather than being rejected.
-        raw_created = payload.get("created_at")
-        raw_sha = payload.get("git_sha")
-        report.created_at = None if raw_created is None else str(raw_created)
-        report.git_sha = None if raw_sha is None else str(raw_sha)
+        report.created_at = payload["created_at"]
+        report.git_sha = payload["git_sha"]
         report.metrics = MetricsRegistry.from_dict(payload["metrics"])
         report.spans = list(payload["spans"])
-        # v1/v2 reports predate windowed telemetry; they load with the
-        # sections empty rather than being rejected.
-        report.windows = list(payload.get("windows") or [])
-        report.exemplars = list(payload.get("exemplars") or [])
+        report.windows = list(payload["windows"])
+        report.exemplars = list(payload["exemplars"])
         report.timings = {
             str(stage): {str(k): float(v) for k, v in entry.items()}
             for stage, entry in payload["timings"].items()
@@ -231,25 +220,21 @@ def validate_report(payload: object) -> List[str]:
         return problems
     version = payload["schema_version"]
     if version not in SUPPORTED_SCHEMA_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_SCHEMA_VERSIONS)
         problems.append(
-            f"unsupported schema version {version!r} (this build supports "
-            f"versions {supported}; a newer version means the report was "
+            f"unsupported schema version {version!r} (this build reads "
+            f"version {RUN_REPORT_SCHEMA_VERSION}; re-run to regenerate an "
+            "older report, and a newer version means the report was "
             "written by a newer repro — upgrade to read it)"
         )
         return problems
-    if version >= 2:
-        for key in REQUIRED_KEYS_V2:
-            if key not in payload:
-                problems.append(f"missing v{version} key {key!r}")
-            elif payload[key] is not None and not isinstance(payload[key], str):
+    for key in IDENTITY_KEYS + TELEMETRY_KEYS:
+        if key not in payload:
+            problems.append(f"missing key {key!r}")
+        elif key in IDENTITY_KEYS:
+            if payload[key] is not None and not isinstance(payload[key], str):
                 problems.append(f"key {key!r} must be a string or null")
-    if version >= 3:
-        for key in REQUIRED_KEYS_V3:
-            if key not in payload:
-                problems.append(f"missing v{version} key {key!r}")
-            elif not isinstance(payload[key], list):
-                problems.append(f"key {key!r} must be a list")
+        elif not isinstance(payload[key], list):
+            problems.append(f"key {key!r} must be a list")
     if payload["kind"] != REPORT_KIND:
         problems.append(f"kind is {payload['kind']!r}, not {REPORT_KIND!r}")
     metrics = payload["metrics"]
@@ -262,67 +247,3 @@ def validate_report(payload: object) -> List[str]:
     if not isinstance(payload["timings"], dict):
         problems.append("timings must be a StageTimer mapping")
     return problems
-
-
-def _diff_section(
-    label: str,
-    old: Dict[str, float],
-    new: Dict[str, float],
-    lines: List[str],
-) -> None:
-    """One section of the diff: changed keys, then the disjoint sets.
-
-    Keys present on only one side — the whole metric universe may be
-    disjoint when reports come from different instrumentation eras — get
-    their own "only in old/new" subsections instead of being interleaved
-    with value changes.
-    """
-    changed = [
-        key
-        for key in sorted(set(old) & set(new))
-        if old[key] != new[key]
-    ]
-    only_old = sorted(set(old) - set(new))
-    only_new = sorted(set(new) - set(old))
-    if not (changed or only_old or only_new):
-        return
-    if changed:
-        lines.append(f"-- {label} --")
-        for key in changed:
-            a, b = old[key], new[key]
-            ratio = f" ({b / a:+.2%} of old)" if a else ""
-            lines.append(f"~ {key}: {a:g} -> {b:g}{ratio}")
-    if only_old:
-        lines.append(f"-- {label} (only in old) --")
-        for key in only_old:
-            lines.append(f"- {key} = {old[key]:g}")
-    if only_new:
-        lines.append(f"-- {label} (only in new) --")
-        for key in only_new:
-            lines.append(f"+ {key} = {new[key]:g}")
-
-
-def diff_reports(old: RunReport, new: RunReport) -> str:
-    """Readable field-by-field diff of two reports.
-
-    Counters, gauges, and per-stage seconds are compared by key; equal
-    values are omitted, so the output is empty-ish for identical runs.
-    Disjoint metric sets render as clean "only in old/new" sections.
-    """
-    lines: List[str] = []
-    old_stem = old.spec.stem if old.spec else "unkeyed"
-    new_stem = new.spec.stem if new.spec else "unkeyed"
-    lines.append(f"diff: {old_stem} -> {new_stem}")
-    if old.git_sha != new.git_sha and (old.git_sha or new.git_sha):
-        lines.append(f"commit: {old.git_sha or '?'} -> {new.git_sha or '?'}")
-    _diff_section("counters", old.metrics.counters, new.metrics.counters, lines)
-    _diff_section("gauges", old.metrics.gauges, new.metrics.gauges, lines)
-    _diff_section(
-        "stage seconds",
-        {k: v.get("seconds", 0.0) for k, v in old.timings.items()},
-        {k: v.get("seconds", 0.0) for k, v in new.timings.items()},
-        lines,
-    )
-    if len(lines) <= 2 and not any(line.startswith("--") for line in lines):
-        lines.append("(no differences in counters, gauges, or timings)")
-    return "\n".join(lines)

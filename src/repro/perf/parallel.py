@@ -132,7 +132,7 @@ def _spec_task(
         return spec_payload, results_for(spec, platforms), None
     with metrics_enabled() as registry:
         results = results_for(spec, platforms)
-    return spec_payload, results, registry.as_dict()
+    return spec_payload, results, _telemetry_payload(registry)
 
 
 def _telemetry_payload(
@@ -140,7 +140,7 @@ def _telemetry_payload(
 ) -> dict:
     """One worker's telemetry for the pipe: metrics + request spans.
 
-    The metrics snapshot is the classic ``as_dict()`` payload; when the
+    The metrics snapshot is the registry's ``as_dict()``; when the
     worker also tracked request-scoped spans (a
     :class:`~repro.obs.context.RequestTracker` built from contexts that
     shipped out with the task tuple), their wire forms ride along so
@@ -153,33 +153,19 @@ def _telemetry_payload(
 
 
 def _merge_worker_telemetry(payload: Optional[dict]) -> List[dict]:
-    """Fold one worker's telemetry into the active registry.
+    """Fold one worker's :func:`_telemetry_payload` into the active
+    registry.
 
-    Accepts both payload shapes — a bare ``MetricsRegistry.as_dict()``
-    (the original worker contract) and the combined
-    ``{"metrics": ..., "spans": [...]}`` form from
-    :func:`_telemetry_payload`. Metrics merge into the active registry;
-    the request-scoped wire spans are *returned* for the caller to
-    ingest into its tracker (the parallel layer has no request state of
-    its own).
+    Metrics merge into the active registry; the request-scoped wire
+    spans are *returned* for the caller to ingest into its tracker (the
+    parallel layer has no request state of its own).
     """
     if payload is None:
         return []
-    if "metrics" in payload:
-        metrics_payload = payload["metrics"]
-        spans = list(payload.get("spans", []))
-    else:
-        metrics_payload = payload
-        spans = []
     registry = get_metrics()
-    if registry is not None and metrics_payload is not None:
-        registry.merge(MetricsRegistry.from_dict(metrics_payload))
-    return spans
-
-
-def _merge_worker_metrics(payload: Optional[dict]) -> None:
-    """Fold one worker's metrics snapshot into the active registry."""
-    _merge_worker_telemetry(payload)
+    if registry is not None:
+        registry.merge(MetricsRegistry.from_dict(payload["metrics"]))
+    return list(payload.get("spans", []))
 
 
 def parallel_run_specs(
@@ -203,7 +189,7 @@ def parallel_run_specs(
         registry.set_gauge("perf.parallel.workers", workers)
     raw = _map_tasks(_spec_task, tasks, workers)
     for _, _, metrics_payload in raw:
-        _merge_worker_metrics(metrics_payload)
+        _merge_worker_telemetry(metrics_payload)
     return {
         RunSpec.from_dict(payload): results for payload, results, _ in raw
     }
@@ -263,7 +249,7 @@ def _chunk_task(
         return start, simulate_traces(traces, platforms, backend=backend), None
     with metrics_enabled() as registry:
         results = simulate_traces(traces, platforms, backend=backend)
-    return start, results, registry.as_dict()
+    return start, results, _telemetry_payload(registry)
 
 
 def _chunk_bounds(
@@ -301,15 +287,6 @@ def _shm_chunk_task(
     from ..trace.io import traces_from_buffer
 
     shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker (bpo-39959), which would unlink it out from under the
-        # other workers at exit; the parent owns cleanup.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
     view = None
     chunk = None
     try:
@@ -327,7 +304,7 @@ def _shm_chunk_task(
             )
         with metrics_enabled() as registry:
             results = simulate_traces(chunk, platforms, backend=backend)
-        return start, results, registry.as_dict()
+        return start, results, _telemetry_payload(registry)
     finally:
         chunk = None
         view = None
@@ -374,7 +351,7 @@ def parallel_simulate_workload(
     chunk_results.sort(key=lambda item: item[0])
     merged: Dict[str, "object"] = {}
     for _, results, metrics_payload in chunk_results:
-        _merge_worker_metrics(metrics_payload)
+        _merge_worker_telemetry(metrics_payload)
         for platform, result in results.items():
             if platform in merged:
                 merged[platform].merge(result)

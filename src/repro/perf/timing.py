@@ -29,9 +29,10 @@ __all__ = [
 # aggregate (best-of) second count per variant. v2 adds "schema_version",
 # "samples" (the raw per-repeat wall-clock readings each aggregate was
 # derived from) and "repeats", so downstream comparison can run a real
-# statistical test instead of a single-number ratio.
+# statistical test instead of a single-number ratio. Only v2 is read;
+# the committed v1 files were migrated with empty samples.
 BENCH_SCHEMA_VERSION = 2
-SUPPORTED_BENCH_SCHEMA_VERSIONS = (1, 2)
+SUPPORTED_BENCH_SCHEMA_VERSIONS = (BENCH_SCHEMA_VERSION,)
 
 
 class StageTimer:
@@ -106,9 +107,7 @@ class BenchReport:
 
     The provenance stamp uses the same schema as RunReport baselines
     (see :mod:`repro.obs.provenance`), so a BENCH file can be matched to
-    the baseline-store entries produced at the same commit. Legacy (v1)
-    payloads — no ``schema_version``, no ``samples`` — still load via
-    :meth:`from_dict`, with the raw-sample sections empty.
+    the baseline-store entries produced at the same commit.
     """
 
     def __init__(self, name: str, config: Optional[Dict] = None) -> None:
@@ -193,24 +192,21 @@ class BenchReport:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "BenchReport":
-        """Load a ``BENCH_<name>.json`` payload (legacy v1 included).
+        """Load a ``BENCH_<name>.json`` payload.
 
-        v1 files predate ``schema_version``/``samples``/``repeats``;
-        they load with those sections empty. An unknown (newer) version
-        is rejected loudly rather than misread.
+        Any version but :data:`BENCH_SCHEMA_VERSION` is rejected loudly
+        rather than misread.
         """
         if not isinstance(payload, dict):
             raise ValueError("BenchReport payload is not a JSON object")
-        version = payload.get("schema_version", 1)
+        version = payload.get("schema_version")
         if version not in SUPPORTED_BENCH_SCHEMA_VERSIONS:
-            supported = ", ".join(
-                str(v) for v in SUPPORTED_BENCH_SCHEMA_VERSIONS
-            )
             raise ValueError(
                 f"unsupported BenchReport schema version {version!r} "
-                f"(this build supports versions {supported}; a newer "
-                "version means the file was written by a newer repro — "
-                "upgrade to read it)"
+                f"(this build reads version {BENCH_SCHEMA_VERSION}; a file "
+                "without one is a legacy v1 file — re-run its bench to "
+                "regenerate it — and a newer version means the file was "
+                "written by a newer repro — upgrade to read it)"
             )
         if "name" not in payload or "timings" not in payload:
             raise ValueError(

@@ -11,9 +11,6 @@ This package is the single spine for "what runs where":
   harness worker transport;
 - :mod:`~repro.platforms.artifacts` — schema-versioned JSON persistence
   of ``{platform: PlatformResult}`` outputs under ``results/``.
-
-The legacy ``repro.core.api.PLATFORM_BUILDERS`` dict survives as a thin
-deprecated view over :data:`REGISTRY`.
 """
 
 from .artifacts import (

@@ -184,15 +184,6 @@ def _shard_task(task):
     from multiprocessing import shared_memory
 
     shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker (bpo-39959), which would unlink it out from under the
-        # other workers at exit; the parent owns cleanup.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
     view = None
     try:
         view = shm.buf[:size]

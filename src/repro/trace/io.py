@@ -42,7 +42,6 @@ __all__ = [
 # v1: graphs + per-layer features/flops. v2 adds the optional per-pair
 # ``head_features`` vector so cached traces can feed head training.
 FORMAT_VERSION = 2
-_FORMAT_VERSION = FORMAT_VERSION  # backwards-compatible alias
 
 
 def _graph_arrays(prefix: str, graph: Graph, arrays: Dict[str, np.ndarray]) -> Dict:
@@ -104,7 +103,7 @@ def _collect_arrays(
     if not batch_traces:
         raise ValueError("nothing to save")
     arrays: Dict[str, np.ndarray] = {}
-    manifest: Dict = {"version": _FORMAT_VERSION, "batches": []}
+    manifest: Dict = {"version": FORMAT_VERSION, "batches": []}
     for b, batch_trace in enumerate(batch_traces):
         batch_entry: Dict = {"pairs": []}
         for p, trace in enumerate(batch_trace.pair_traces):

@@ -5,24 +5,29 @@ import random
 import pytest
 
 from repro.obs.analytics import (
-    BenchComparison,
+    BENCH_TIMING_TOL,
     attribute_stages,
     compare_entry,
     compare_history,
     detect_changepoints,
-    mad,
-    median,
+    is_environmental_check,
     metric_series,
     render_attribution,
     render_markdown_table,
     render_trend,
     stage_budget_means,
-    timing_decision,
     trend_report,
 )
 from repro.obs.history import BenchHistory, HistoryEntry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.regress import RegressionPolicy
+from repro.obs.regress import (
+    MIN_SAMPLES,
+    Finding,
+    RegressionReport,
+    mad,
+    median,
+    timing_decision,
+)
 from repro.obs.report import RunReport
 
 
@@ -92,11 +97,12 @@ class TestTimingDecision:
         assert timing_decision(base, fast)["decision"] == "improved"
 
     def test_single_sample_falls_back_to_ratio_band(self):
-        verdict = timing_decision([1.0], [1.3])
+        tol = BENCH_TIMING_TOL
+        verdict = timing_decision([1.0], [1.3], tol)
         assert verdict["method"] == "ratio-fallback"
         assert verdict["decision"] == "ok"
-        assert timing_decision([1.0], [2.2])["decision"] == "regressed"
-        assert timing_decision([2.2], [1.0])["decision"] == "improved"
+        assert timing_decision([1.0], [2.2], tol)["decision"] == "regressed"
+        assert timing_decision([2.2], [1.0], tol)["decision"] == "improved"
 
     def test_empty_side_is_no_data(self):
         assert timing_decision([], [1.0])["decision"] == "no-data"
@@ -181,7 +187,7 @@ class TestCompareHistory:
         history.append(_entry(seed=1))
         history.append(_entry(seed=1, tag="rerun"))
         results = compare_history(history)
-        assert [r.bench for r in results] == ["unit"]
+        assert [r.subject for r in results] == ["unit"]
         assert results[0].exit_code == 0
 
     def test_explicit_candidate_not_required_on_file(self, tmp_path):
@@ -202,13 +208,13 @@ class TestCompareHistory:
 
 class TestExitCodeContract:
     def test_findings_dominate_warnings(self):
-        comparison = BenchComparison(bench="unit")
-        comparison.findings.append(object())  # any truthy content
-        comparison.warnings.append(object())
+        comparison = RegressionReport(subject="unit", baseline_id="base")
+        comparison.findings.append(Finding("check", "a", 1, 2))
+        comparison.warnings.append(Finding("timing", "b", 1.0, 2.0))
         assert comparison.exit_code == 1
 
     def test_render_mentions_status(self):
-        comparison = BenchComparison(bench="unit", status="no-baseline")
+        comparison = RegressionReport(subject="unit")
         assert "NO BASELINE" in comparison.render()
 
 
@@ -309,8 +315,7 @@ class TestStageAttribution:
         assert "execute" in text
 
     def test_policy_knobs_are_carried_by_regression_policy(self):
-        policy = RegressionPolicy()
-        assert policy.bench_min_samples >= 2
-        assert policy.is_environmental_check("queries_per_second")
-        assert policy.is_environmental_check("latency_p50_seconds")
-        assert not policy.is_environmental_check("num_unique")
+        assert MIN_SAMPLES >= 2
+        assert is_environmental_check("queries_per_second")
+        assert is_environmental_check("latency_p50_seconds")
+        assert not is_environmental_check("num_unique")

@@ -107,7 +107,9 @@ class TestObsSubcommand:
         _, report_path = _simulate_with_obs(tmp_path)
         capsys.readouterr()
         assert main(["obs", "diff", str(report_path), str(report_path)]) == 0
-        assert "(no differences" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "OK: all deterministic metrics match" in output
+        assert "REGRESSIONS" not in output and "info" not in output
 
     def test_diff_flags_counter_changes(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
@@ -172,7 +174,7 @@ class TestObsCheck:
             ]
         )
         assert status == 0
-        payload = json.loads(json_out.read_text())
+        (payload,) = json.loads(json_out.read_text())
         assert payload["kind"] == "repro-regression-report"
         assert payload["ok"] is True
 
@@ -309,7 +311,7 @@ class TestObsBenchCompare:
         )
         assert status == 0
         report = json.loads(out_json.read_text())
-        assert report["comparisons"][0]["status"] == "ok"
+        assert report[0]["status"] == "ok"
 
     def test_deterministic_drift_exits_1(self, tmp_path, capsys):
         main(["obs", "bench", "record", str(_bench_file(tmp_path))])
@@ -401,3 +403,64 @@ class TestBenchForwarding:
         assert ["--only", "search"] == argv[1:3] or "search" in argv
         assert "--history-dir" in argv and "hist" in argv
         assert "--no-history" in argv
+
+
+def _run_report_file(tmp_path, stem, macs=100.0, simulate_s=1.0):
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import RunReport
+    from repro.perf.timing import StageTimer
+    from repro.platforms import RunSpec
+
+    registry = MetricsRegistry()
+    registry.inc("sim.macs", macs, platform="CEGMA")
+    timer = StageTimer()
+    timer.record("simulate", simulate_s)
+    report = RunReport(
+        spec=RunSpec.make("GMN-Li", "AIDS", 4, 4, 0),
+        metrics=registry,
+        timer=timer,
+        created_at="2026-08-07T00:00:00Z",
+        git_sha="deadbeef",
+    )
+    return str(report.write(tmp_path / f"{stem}.json"))
+
+
+def _obs_check(tmp_path, case):
+    current = {
+        "drift": {"macs": 101.0},
+        "timing": {"simulate_s": 3.0},
+        "no-baseline": {},
+    }[case]
+    argv = ["obs", "check", _run_report_file(tmp_path, "cur", **current)]
+    if case != "no-baseline":
+        argv += ["--baseline", _run_report_file(tmp_path, "base")]
+    return main(argv + ["--timing-tol", "0.25"])
+
+
+def _obs_bench_compare(tmp_path, case):
+    current = {
+        "drift": {"unique": 127},
+        "timing": {"seconds": 3.0},
+        "no-baseline": {},
+    }[case]
+    if case != "no-baseline":
+        main(["obs", "bench", "record", str(_bench_file(tmp_path))])
+    candidate = _bench_file(tmp_path, stem="BENCH_cand.json", **current)
+    return main(["obs", "bench", "compare", "--candidate", str(candidate)])
+
+
+class TestBothGateAdapters:
+    """The same fail-capable cases through ``obs check`` and ``obs bench
+    compare``: deterministic drift fails both, a timing beyond tolerance
+    fails the check (explicit ``--timing-tol``) but only warns the bench
+    gate (wall clocks differ across hosts), and no baseline exits 2."""
+
+    @pytest.mark.parametrize(
+        "case, check_exit, bench_exit",
+        [("drift", 1, 1), ("timing", 1, 2), ("no-baseline", 2, 2)],
+    )
+    def test_exit_codes(self, tmp_path, case, check_exit, bench_exit):
+        (tmp_path / "check").mkdir()
+        (tmp_path / "bench").mkdir()
+        assert _obs_check(tmp_path / "check", case) == check_exit
+        assert _obs_bench_compare(tmp_path / "bench", case) == bench_exit

@@ -5,9 +5,9 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.regress import (
     DETERMINISTIC_PREFIXES,
-    RegressionPolicy,
     RegressionReport,
     compare_reports,
+    is_deterministic,
 )
 from repro.obs.report import RunReport
 from repro.perf.timing import StageTimer
@@ -35,7 +35,6 @@ def _report(macs=100.0, hits=5.0, simulate_s=1.0, occupancy=(4, 8)):
 
 class TestPolicy:
     def test_default_prefixes_cover_sim_layers(self):
-        policy = RegressionPolicy()
         for name in (
             "sim.macs{platform=CEGMA}",
             "emf.filter.calls",
@@ -43,22 +42,22 @@ class TestPolicy:
             "dram.bytes{pattern=row}",
             "pe.gemm.cycles",
         ):
-            assert policy.is_deterministic(name), name
+            assert is_deterministic(name), name
 
     def test_environmental_counters_excluded(self):
-        policy = RegressionPolicy()
         for name in (
             "harness.trace_memo.hit",
             "trace_cache.miss",
             "perf.parallel.worker_failures",
         ):
-            assert not policy.is_deterministic(name), name
+            assert not is_deterministic(name), name
 
     def test_prefixes_constant_is_policy_default(self):
-        assert RegressionPolicy().deterministic_prefixes == DETERMINISTIC_PREFIXES
+        for prefix in DETERMINISTIC_PREFIXES:
+            assert is_deterministic(prefix + "x"), prefix
+        assert not is_deterministic("x." + DETERMINISTIC_PREFIXES[0])
 
     def test_serving_counters_split_by_determinism(self):
-        policy = RegressionPolicy()
         # Fixed stream + fixed seed => these replay exactly.
         for name in (
             "search.serve.admitted",
@@ -67,7 +66,7 @@ class TestPolicy:
             "search.serve.deduped_requests",
             "search.serve.candidate_dedup_hits{platform=CEGMA}",
         ):
-            assert policy.is_deterministic(name), name
+            assert is_deterministic(name), name
         # Timing-coupled serving metrics must never gate CI.
         for name in (
             "search.serve.expired",
@@ -77,7 +76,7 @@ class TestPolicy:
             "search.serve.budget_seconds{stage=execute}",
             "obs.context.dropped_spans",
         ):
-            assert not policy.is_deterministic(name), name
+            assert not is_deterministic(name), name
 
 
 class TestCompare:
@@ -144,25 +143,22 @@ class TestTimingTolerance:
         assert any(info.kind == "timing" for info in result.infos)
 
     def test_drift_beyond_band_is_regression(self):
-        policy = RegressionPolicy(timing_rel_tol=0.25)
         result = compare_reports(
-            _report(simulate_s=1.0), _report(simulate_s=1.5), policy
+            _report(simulate_s=1.0), _report(simulate_s=1.5), timing_tol=0.25
         )
         assert not result.ok
         assert result.findings[0].kind == "timing"
         assert "tolerance" in result.findings[0].detail
 
     def test_speedup_never_fails(self):
-        policy = RegressionPolicy(timing_rel_tol=0.25)
         result = compare_reports(
-            _report(simulate_s=2.0), _report(simulate_s=0.5), policy
+            _report(simulate_s=2.0), _report(simulate_s=0.5), timing_tol=0.25
         )
         assert result.ok
 
     def test_drift_within_band_is_ok(self):
-        policy = RegressionPolicy(timing_rel_tol=0.5)
         result = compare_reports(
-            _report(simulate_s=1.0), _report(simulate_s=1.2), policy
+            _report(simulate_s=1.0), _report(simulate_s=1.2), timing_tol=0.5
         )
         assert result.ok
 

@@ -11,9 +11,9 @@ from repro.obs.report import (
     SUPPORTED_SCHEMA_VERSIONS,
     RunReport,
     default_report_path,
-    diff_reports,
     validate_report,
 )
+from repro.obs.regress import compare_reports
 from repro.obs.tracing import Tracer
 from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
@@ -90,16 +90,6 @@ class TestRunIdentity:
         assert restored.created_at == "2026-08-07T00:00:00Z"
         assert restored.git_sha == "cafebabe"
 
-    def test_v1_payload_loads_with_none_identity(self):
-        payload = _report().to_dict()
-        payload["schema_version"] = 1
-        del payload["created_at"]
-        del payload["git_sha"]
-        assert validate_report(payload) == []
-        restored = RunReport.from_dict(payload)
-        assert restored.created_at is None
-        assert restored.git_sha is None
-
     def test_render_mentions_identity(self):
         report = _report()
         report.created_at = "2026-08-07T00:00:00Z"
@@ -135,6 +125,16 @@ class TestValidation:
         for version in SUPPORTED_SCHEMA_VERSIONS:
             assert str(version) in message
         assert "newer" in message
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_v3_payloads_rejected_with_actionable_error(self, version):
+        payload = _report().to_dict()
+        payload["schema_version"] = version
+        (message,) = validate_report(payload)
+        assert f"version {version}" in message
+        assert "re-run to regenerate" in message
+        with pytest.raises(ValueError, match="regenerate"):
+            RunReport.from_dict(payload)
 
     def test_v2_requires_identity_keys(self):
         payload = _report().to_dict()
@@ -201,16 +201,6 @@ class TestServingTelemetrySections:
         assert restored.windows == [self._window()]
         assert restored.exemplars == [self._exemplar()]
 
-    def test_v2_payload_loads_with_empty_sections(self):
-        payload = _report().to_dict()
-        payload["schema_version"] = 2
-        del payload["windows"]
-        del payload["exemplars"]
-        assert validate_report(payload) == []
-        restored = RunReport.from_dict(payload)
-        assert restored.windows == []
-        assert restored.exemplars == []
-
     def test_v3_requires_list_sections(self):
         payload = _report().to_dict()
         payload["windows"] = {"nope": 1}
@@ -234,55 +224,62 @@ class TestServingTelemetrySections:
         assert "1 exemplar(s)" in rendered
 
 
+def diff_text(old, new):
+    """What ``repro obs diff`` prints: the check's comparison, ungated."""
+    return compare_reports(old, new).render()
+
+
 class TestDiff:
     def test_identical_reports_have_no_diff(self):
-        text = diff_reports(_report(), _report())
-        assert "(no differences" in text
+        text = diff_text(_report(), _report())
+        assert "OK: all deterministic metrics match" in text
+        assert "REGRESSIONS" not in text and "info" not in text
 
     def test_changed_counter_is_reported(self):
         old = _report()
         new = _report()
         new.metrics.inc("sim.cycles", 50, platform="CEGMA")
-        text = diff_reports(old, new)
-        assert "sim.cycles{platform=CEGMA}: 100 -> 150" in text
+        text = diff_text(old, new)
+        assert "sim.cycles{platform=CEGMA}: baseline=100.0 current=150.0" in text
 
     def test_added_and_removed_keys(self):
         old = _report()
         new = _report()
         new.metrics.inc("emf.hits", 7)
         old.metrics.inc("old.only", 1)
-        text = diff_reports(old, new)
-        assert "+ emf.hits = 7" in text
-        assert "- old.only = 1" in text
+        text = diff_text(old, new)
+        assert "emf.hits: baseline=None current=7.0 (not in baseline)" in text
+        assert "old.only: baseline=1.0 current=None (missing from run)" in text
 
     def test_timing_changes_reported(self):
         old = _report()
         new = _report()
         new.timings["profile"]["seconds"] = 3.0
-        assert "profile: 1.5 -> 3" in diff_reports(old, new)
+        assert "profile: baseline=1.5 current=3.0" in diff_text(old, new)
 
     def test_disjoint_metric_sets_get_clean_sections(self):
         old = RunReport(spec=SPEC)
         new = RunReport(spec=SPEC)
         old.metrics.inc("era1.counter", 5)
         new.metrics.inc("era2.counter", 9)
-        text = diff_reports(old, new)
-        assert "-- counters (only in old) --" in text
-        assert "- era1.counter = 5" in text
-        assert "-- counters (only in new) --" in text
-        assert "+ era2.counter = 9" in text
-        # Disjoint keys are not value changes.
-        assert "~" not in text
+        result = compare_reports(old, new)
+        text = result.render()
+        assert "era1.counter: baseline=5.0 current=None (missing from run)" in text
+        assert "era2.counter: baseline=None current=9.0 (not in baseline)" in text
+        # Disjoint keys are not value changes: each shows one side only.
+        for item in result.findings + result.infos:
+            assert None in (item.baseline, item.current), item
 
     def test_commit_line_when_shas_differ(self):
         old = _report()
         new = _report()
         old.git_sha = "aaa111"
         new.git_sha = "bbb222"
-        assert "commit: aaa111 -> bbb222" in diff_reports(old, new)
+        text = diff_text(old, new)
+        assert "[commit] git_sha: baseline=aaa111 current=bbb222" in text
 
     def test_no_commit_line_for_same_sha(self):
         old = _report()
         new = _report()
         old.git_sha = new.git_sha = "aaa111"
-        assert "commit:" not in diff_reports(old, new)
+        assert "[commit]" not in diff_text(old, new)

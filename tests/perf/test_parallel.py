@@ -275,7 +275,7 @@ class TestSharedMemoryTransport:
 
 
 class TestWorkerTelemetryTransport:
-    """The shared worker→parent telemetry contract (both shapes)."""
+    """The shared worker→parent telemetry contract."""
 
     def _worker_registry(self):
         from repro.obs.metrics import MetricsRegistry
@@ -327,16 +327,6 @@ class TestWorkerTelemetryTransport:
         assert merged.bounds == (0.001, 0.004, 0.016)
         assert merged.count == 1
 
-    def test_merge_accepts_legacy_bare_shape(self):
-        from repro.obs.metrics import metrics_enabled
-
-        with metrics_enabled() as registry:
-            spans = _merge_worker_telemetry(
-                self._worker_registry().as_dict()
-            )
-        assert spans == []
-        assert registry.counter("sim.macs") == 7
-
     def test_merge_of_none_is_a_noop(self):
         assert _merge_worker_telemetry(None) == []
 
@@ -378,3 +368,53 @@ class TestParallelWorkloadResults:
         start = time.perf_counter()
         workload_results("GMN-Li", "AIDS", PLATFORMS, 2, 2, 0)
         assert time.perf_counter() - start < 0.05  # memo hit, no profiling
+
+
+def _shm_segments():
+    import os
+
+    shm_dir = "/dev/shm"
+    if not os.path.isdir(shm_dir):
+        return set()
+    return {name for name in os.listdir(shm_dir) if name.startswith("psm_")}
+
+
+class TestPooledRunsStayQuiet:
+    """A normal pooled run writes nothing to stderr and leaks no
+    shared-memory segment: workers attach to the parent's segment
+    without touching the resource tracker the parent shares with them,
+    so the parent's ``unlink`` is the only cleanup."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--quick"],
+            [
+                "simulate", "--model", "GMN-Li", "--dataset", "AIDS",
+                "--pairs", "16", "--batch", "4", "--jobs", "2",
+            ],
+        ],
+        ids=["serve", "simulate"],
+    )
+    def test_no_stderr_and_no_leaked_segments(self, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        before = _shm_segments()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert _shm_segments() - before == set()

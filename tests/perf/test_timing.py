@@ -1,8 +1,13 @@
 """Tests for StageTimer and BenchReport edge cases."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.perf.timing import BenchReport, StageTimer, time_stage
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestStageTimer:
@@ -112,13 +117,19 @@ class TestBenchReportSchemaV2:
         assert report.samples == {}
 
     def test_legacy_v1_payload_loads_with_empty_samples(self):
-        payload = self._report().as_dict()
-        for key in ("schema_version", "samples", "repeats"):
-            del payload[key]
+        # The committed BENCH_harness.json was recorded as v1 and
+        # migrated to v2 with empty samples; it loads with its timings.
+        with open(REPO_ROOT / "BENCH_harness.json") as handle:
+            payload = json.load(handle)
         clone = BenchReport.from_dict(payload)
         assert clone.samples == {}
         assert clone.repeats is None
-        assert clone.timings["fast"] == 1.0
+        assert clone.timings == payload["timings"]
+        # The unmigrated v1 shape (no schema_version) is refused with a
+        # hint at how to fix it.
+        del payload["schema_version"]
+        with pytest.raises(ValueError, match="legacy v1 file"):
+            BenchReport.from_dict(payload)
 
     def test_unknown_newer_schema_rejected(self):
         payload = self._report().as_dict()

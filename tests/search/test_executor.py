@@ -166,15 +166,6 @@ class TestShardTask:
             )
             shard_start, vectors, payload = _shard_task(task)
         finally:
-            # _shard_task unregistered the segment (it assumes it runs in
-            # a worker process); restore this process's registration so
-            # unlink balances the resource tracker's books.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(segment._name, "shared_memory")
-            except Exception:
-                pass
             segment.close()
             segment.unlink()
         assert shard_start == start
@@ -225,12 +216,6 @@ class TestWorkerTelemetry:
             )
             return _shard_task(task)
         finally:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(segment._name, "shared_memory")
-            except Exception:
-                pass
             segment.close()
             segment.unlink()
 
