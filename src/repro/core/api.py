@@ -27,7 +27,7 @@ from ..counters import FlopCounter
 from ..emf.filter import MatchingPlan
 from ..graphs.datasets import load_dataset
 from ..models import build_model, similarity_matrix
-from ..obs.tracing import span
+from ..obs.tracing import Tracer, get_tracer, span
 from ..platforms import DEFAULT_PLATFORMS, REGISTRY, RunSpec
 from ..sim import PlatformResult
 from ..trace.profiler import BatchTrace, profile_batches
@@ -203,9 +203,13 @@ def serve_query_stream(
     from the EMF/WL MinHash index first (see
     :mod:`repro.search.sketch`) and reranks it exactly.
 
-    Request-scoped telemetry is opt-in and layered: ``request_tracing``
-    attaches a :class:`~repro.obs.context.RequestTracker` (per-request
-    span trees, ``search.serve.budget_seconds{stage=...}``) and an
+    Request-scoped telemetry is opt-in and layered. When tracing is on
+    (an active :class:`~repro.obs.tracing.Tracer`), the pipeline records
+    its stage spans into that one tracer, so the run's Chrome trace and
+    the per-request span trees and
+    ``search.serve.budget_seconds{stage=...}`` budgets are views of the
+    same spans. ``request_tracing`` traces the pipeline even without an
+    active tracer (into a fresh one) and attaches an
     :class:`~repro.obs.exemplars.ExemplarBuffer` keeping the
     ``exemplar_slowest`` slowest plus all expired requests;
     ``window_seconds`` attaches a
@@ -217,8 +221,9 @@ def serve_query_stream(
     Returns ``{"responses", "pipeline", "stats", "config"}`` — stats
     is the pipeline's counter/latency snapshot plus stream accounting
     (``served`` / ``rejected_submissions``). With tracing on, the
-    result also carries ``tracker`` / ``exemplars``; with windowed
-    recording, ``recorder`` and the closed ``windows`` (as dicts).
+    result also carries ``tracer``, and with ``request_tracing``
+    ``exemplars``; with windowed recording, ``recorder`` and the closed
+    ``windows`` (as dicts).
     """
     from ..graphs.datasets import generate_graph
     from ..graphs.pairs import substitute_edges
@@ -260,12 +265,13 @@ def serve_query_stream(
         for _ in range(num_queries)
     ]
 
-    tracker = exemplars = recorder = None
+    tracer = get_tracer()
+    exemplars = recorder = None
     if request_tracing:
-        from ..obs.context import RequestTracker
         from ..obs.exemplars import ExemplarBuffer
 
-        tracker = RequestTracker()
+        if tracer is None:
+            tracer = Tracer()
         exemplars = ExemplarBuffer(k_slowest=exemplar_slowest)
     if window_seconds is not None:
         from ..obs.timeseries import TimeseriesRecorder
@@ -283,7 +289,7 @@ def serve_query_stream(
         num_shards=num_shards,
         workers=workers,
         retrieval=retrieval,
-        tracker=tracker,
+        tracer=tracer,
         recorder=recorder,
         exemplars=exemplars,
     )
@@ -305,8 +311,9 @@ def serve_query_stream(
         "pipeline": pipeline,
         "stats": stats,
     }
-    if tracker is not None:
-        outcome["tracker"] = tracker
+    if tracer is not None:
+        outcome["tracer"] = tracer
+    if exemplars is not None:
         outcome["exemplars"] = exemplars
     if recorder is not None:
         outcome["recorder"] = recorder

@@ -11,11 +11,14 @@ Three cooperating pieces:
 - :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,
   gauges, and histograms; free when disabled, mergeable across worker
   processes.
-- :mod:`repro.obs.tracing` — hierarchical :func:`span` tracing exported
-  as Chrome trace-event JSON (loadable in Perfetto).
+- :mod:`repro.obs.tracing` — the one span recorder. A bounded
+  :class:`Tracer` holds every timed region as one span record (name,
+  start, end, parent, attrs, request ids); Chrome trace-event JSON
+  (loadable in Perfetto), per-request budgets and span trees, and the
+  RunReport ``timings`` are views over that list.
 - :mod:`repro.obs.report` — the schema-versioned :class:`RunReport`
-  artifact combining metrics, spans, and
-  :class:`~repro.perf.timing.StageTimer` data under ``results/obs/``.
+  artifact combining metrics, spans, and stage timings under
+  ``results/obs/``.
 
 On top of those, the **consumption layer** closes the loop — a report
 is only useful if something notices when it changes:
@@ -49,12 +52,9 @@ is only useful if something notices when it changes:
   histograms.
 
 The **request-scoped layer** serves the long-lived serving pipeline,
-where run-scoped aggregates are blind:
+where run-scoped aggregates are blind (the per-request span trees
+themselves are :class:`Tracer` views):
 
-- :mod:`repro.obs.context` — :class:`RequestContext` carried through
-  every pipeline stage (and across the shm worker boundary) plus the
-  :class:`RequestTracker` of per-request stage spans, whose summed
-  top-level budgets equal the measured request latency.
 - :mod:`repro.obs.timeseries` — :class:`TimeseriesRecorder` windowed
   snapshots: counter rates and per-window histogram p50/p99.
 - :mod:`repro.obs.exemplars` — :class:`ExemplarBuffer` retaining the
@@ -78,7 +78,6 @@ from .analytics import (
     trend_report,
 )
 from .baseline import BaselineStore, spec_key
-from .context import RequestContext, RequestTracker, StageSpan, render_tree
 from .dashboard import render_dashboard, write_dashboard
 from .exemplars import Exemplar, ExemplarBuffer
 from .export import (
@@ -130,7 +129,14 @@ from .report import (
     validate_report,
 )
 from .timeseries import TimeseriesRecorder, Window, delta_quantile
-from .tracing import Tracer, get_tracer, set_tracer, span, tracing_enabled
+from .tracing import (
+    Tracer,
+    get_tracer,
+    render_tree,
+    set_tracer,
+    span,
+    tracing_enabled,
+)
 
 __all__ = [
     "Histogram",
@@ -169,9 +175,6 @@ __all__ = [
     "write_collapsed",
     "render_dashboard",
     "write_dashboard",
-    "RequestContext",
-    "RequestTracker",
-    "StageSpan",
     "render_tree",
     "TimeseriesRecorder",
     "Window",

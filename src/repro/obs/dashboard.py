@@ -182,7 +182,7 @@ def _window_quantile_series(
 
 def _serving_rows(report: RunReport) -> List[str]:
     """Windowed quantile sparklines + tail exemplars (newest report)."""
-    from .context import render_tree
+    from .tracing import render_tree
 
     parts: List[str] = []
     windows = list(getattr(report, "windows", []) or [])

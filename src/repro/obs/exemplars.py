@@ -10,8 +10,8 @@ The :class:`ExemplarBuffer` keeps exactly the interesting evidence:
   expirations are the SLO violations themselves, so none are sampled
   away silently; overflow is counted, not dropped quietly).
 
-Each exemplar carries the request's full span tree from the
-:class:`~repro.obs.context.RequestTracker`, so the dashboard's exemplar
+Each exemplar carries the request's full span tree, a
+:meth:`~repro.obs.tracing.Tracer.tree` view, so the dashboard's exemplar
 panel and RunReport schema v3 can show per-stage budget attribution for
 the exact requests that missed (or nearly missed) their deadlines.
 """

@@ -1,8 +1,9 @@
 """Schema-versioned RunReport artifacts.
 
 One :class:`RunReport` captures everything a run observed — the metrics
-registry snapshot, the span events, and the wall-clock
-:class:`~repro.perf.timing.StageTimer` stages — keyed by the run's
+registry snapshot, the span events, and the run's stage timings (a
+:meth:`~repro.obs.tracing.Tracer.timings` view of those spans) — keyed
+by the run's
 :class:`~repro.platforms.runspec.RunSpec`. Reports are written as JSON
 under ``results/obs/`` so regressions show up by comparing two files
 (``python -m repro obs diff a.json b.json``, see :mod:`repro.obs.regress`)
@@ -24,7 +25,6 @@ from .provenance import current_git_sha, now_iso
 from .tracing import Tracer
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
-    from ..perf.timing import StageTimer
     from ..platforms.runspec import RunSpec
 
 __all__ = [
@@ -76,7 +76,7 @@ class RunReport:
         spec: Optional[RunSpec] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        timer: Optional[StageTimer] = None,
+        timings: Optional[Dict[str, Dict[str, float]]] = None,
         notes: Optional[Dict[str, object]] = None,
         created_at: Optional[str] = None,
         git_sha: Optional[str] = None,
@@ -88,9 +88,7 @@ class RunReport:
         self.spans: List[Dict[str, object]] = (
             list(tracer.events) if tracer is not None else []
         )
-        self.timings: Dict[str, Dict[str, float]] = (
-            timer.as_dict() if timer is not None else {}
-        )
+        self.timings: Dict[str, Dict[str, float]] = dict(timings or {})
         self.notes: Dict[str, object] = dict(notes or {})
         # v3 serving-telemetry sections: TimeseriesRecorder window
         # snapshots and ExemplarBuffer span trees, both already plain
@@ -245,5 +243,5 @@ def validate_report(payload: object) -> List[str]:
     if not isinstance(payload["spans"], list):
         problems.append("spans must be a list of trace events")
     if not isinstance(payload["timings"], dict):
-        problems.append("timings must be a StageTimer mapping")
+        problems.append("timings must be a stage -> seconds/calls mapping")
     return problems

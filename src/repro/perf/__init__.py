@@ -3,8 +3,8 @@
 This package holds the infrastructure that makes the reproduction run
 "as fast as the hardware allows":
 
-- :mod:`repro.perf.timing` — wall-clock stage timers and the
-  machine-readable ``BENCH_*.json`` report format.
+- :mod:`repro.perf.timing` — the machine-readable ``BENCH_*.json``
+  report format.
 - :mod:`repro.perf.trace_cache` — a persistent on-disk workload-trace
   cache (keyed by model/dataset/seed/pair-count/batch) so repeated
   harness invocations skip re-profiling entirely.
@@ -15,7 +15,7 @@ This package holds the infrastructure that makes the reproduction run
   serial-vs-optimized harness speedups.
 """
 
-from .timing import BenchReport, StageTimer, time_stage
+from .timing import BenchReport
 from .trace_cache import TraceCache, default_trace_cache
 from .parallel import (
     available_workers,
@@ -25,8 +25,6 @@ from .parallel import (
 
 __all__ = [
     "BenchReport",
-    "StageTimer",
-    "time_stage",
     "TraceCache",
     "default_trace_cache",
     "available_workers",

@@ -1,9 +1,10 @@
-"""Wall-clock instrumentation and machine-readable bench reports.
+"""Machine-readable bench reports.
 
 Every performance claim in this repository is backed by a
 ``BENCH_<name>.json`` file written through :class:`BenchReport`, so the
 perf trajectory can be tracked across revisions by diffing two JSON
-files instead of re-reading log output.
+files instead of re-reading log output. Run stages are timed by the
+span recorder, :mod:`repro.obs.tracing`, not here.
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from __future__ import annotations
 import json
 import os
 import platform
-import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 __all__ = [
-    "StageTimer",
-    "time_stage",
     "BenchReport",
     "BENCH_SCHEMA_VERSION",
     "SUPPORTED_BENCH_SCHEMA_VERSIONS",
@@ -33,58 +30,6 @@ __all__ = [
 # the committed v1 files were migrated with empty samples.
 BENCH_SCHEMA_VERSION = 2
 SUPPORTED_BENCH_SCHEMA_VERSIONS = (BENCH_SCHEMA_VERSION,)
-
-
-class StageTimer:
-    """Accumulates wall-clock seconds per named stage.
-
-    Stages repeat (e.g. one ``profile`` entry per batch); the timer
-    records totals and call counts so per-call averages can be derived.
-    """
-
-    def __init__(self) -> None:
-        self.seconds: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-            self.calls[name] = self.calls.get(name, 0) + 1
-
-    def record(self, name: str, seconds: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            name: {"seconds": self.seconds[name], "calls": self.calls[name]}
-            for name in sorted(self.seconds)
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        stages = ", ".join(
-            f"{name}={self.seconds[name]:.3f}s" for name in sorted(self.seconds)
-        )
-        return f"StageTimer({stages})"
-
-
-@contextmanager
-def time_stage(timer: Optional[StageTimer], name: str) -> Iterator[None]:
-    """`timer.stage(name)` that tolerates ``timer=None`` (no-op)."""
-    if timer is None:
-        yield
-    else:
-        with timer.stage(name):
-            yield
 
 
 class BenchReport:

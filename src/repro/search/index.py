@@ -128,11 +128,10 @@ class SimilaritySearchIndex:
     def load(cls, path, model: GMNModel, scorer=None) -> "SimilaritySearchIndex":
         """Rebuild an index from :meth:`save` output.
 
-        Reads current and legacy (version-less) artifacts; files from a
-        newer schema raise an actionable ``ValueError``. Persisted
-        sketch signatures (schema v3) preload the sketch store; legacy
-        artifacts load sketch-less and sketch lazily on first use (or
-        serve flat).
+        Reads current-schema artifacts; any other version raises an
+        actionable ``ValueError``. Persisted sketch signatures preload
+        the sketch store; files saved without them load sketch-less and
+        sketch lazily on first use (or serve flat).
         """
         index = cls(model, scorer)
         with np.load(path, allow_pickle=False) as data:

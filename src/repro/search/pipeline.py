@@ -14,21 +14,22 @@ the serving system of ROADMAP item 1:
    ``SimilaritySearchIndex.query`` path (gated by the
    ``search.serve_vs_direct`` differential check).
 
-Observability: per-stage spans (``serve.schedule`` / ``serve.execute``
-/ ``serve.rank``), a ``search.serve.latency_seconds`` histogram on
+Observability: a ``search.serve.latency_seconds`` histogram on
 :data:`~repro.obs.LATENCY_BUCKETS` (p50/p99 via
 :meth:`~repro.obs.Histogram.quantile`), queue-depth gauges, and
 admission/dedup counters — all free when metrics are off.
 
-Request-scoped telemetry (all optional, all free when off): inject a
-:class:`~repro.obs.context.RequestTracker` and every response joins to
-a span tree — ``admission → schedule → pending → execute (per-shard
-children from the workers) → rank → respond`` — whose stage spans are
-*contiguous on the pipeline clock*, so the per-stage
-``search.serve.budget_seconds{stage=...}`` histograms sum to the
-measured latency exactly. A
-:class:`~repro.obs.timeseries.TimeseriesRecorder` snapshots windowed
-rates/quantiles once per round, and an
+Request-scoped telemetry (all optional, all free when off): give the
+pipeline a :class:`~repro.obs.tracing.Tracer` and it records each stage
+once, tagged with the ids of the requests it served — ``schedule`` per
+round, ``retrieve`` / ``pending`` / ``execute`` (with per-shard
+``execute.shard`` children) / ``rank`` per batch, and only
+``admission`` and ``respond`` per request. Adjacent stages share one
+clock reading at their boundary, so each request's budgets (a
+:meth:`~repro.obs.tracing.Tracer.budgets` view) sum to its measured
+latency exactly, and feed the ``search.serve.budget_seconds{stage=...}``
+histograms. A :class:`~repro.obs.timeseries.TimeseriesRecorder`
+snapshots windowed rates/quantiles once per round, and an
 :class:`~repro.obs.exemplars.ExemplarBuffer` retains the span trees of
 the K slowest and all deadline-expired requests.
 """
@@ -39,10 +40,10 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.graph import Graph
-from ..obs import LATENCY_BUCKETS, get_metrics, span
-from ..obs.context import RequestTracker
+from ..obs import LATENCY_BUCKETS, get_metrics
 from ..obs.exemplars import ExemplarBuffer
 from ..obs.timeseries import TimeseriesRecorder
+from ..obs.tracing import Tracer
 from .requests import AdmissionQueue, QueryRequest, QueryResponse
 from .scheduler import BatchScheduler, SchedulingPolicy
 
@@ -85,16 +86,16 @@ class ServingPipeline:
     dedup:
         Disable to score duplicate requests separately (measurement
         only; results are identical either way).
-    tracker:
-        Optional :class:`~repro.obs.context.RequestTracker` shared by
-        every stage; turns on per-request span trees and the
+    tracer:
+        Optional :class:`~repro.obs.tracing.Tracer` recording every
+        stage; turns on per-request span trees and the
         ``search.serve.budget_seconds{stage=...}`` attribution.
     recorder:
         Optional :class:`~repro.obs.timeseries.TimeseriesRecorder`;
         the pipeline calls :meth:`maybe_snapshot` once per round.
     exemplars:
         Optional :class:`~repro.obs.exemplars.ExemplarBuffer`; every
-        finished request is offered (with its span tree when a tracker
+        finished request is offered (with its span tree when a tracer
         is present).
     """
 
@@ -110,7 +111,7 @@ class ServingPipeline:
         sketch_config=None,
         clock: Callable[[], float] = time.monotonic,
         dedup: bool = True,
-        tracker: Optional[RequestTracker] = None,
+        tracer: Optional[Tracer] = None,
         recorder: Optional[TimeseriesRecorder] = None,
         exemplars: Optional[ExemplarBuffer] = None,
     ) -> None:
@@ -118,17 +119,14 @@ class ServingPipeline:
 
         self.index = index
         self.clock = clock
-        self.tracker = tracker
+        self.tracer = tracer
         self.recorder = recorder
         self.exemplars = exemplars
-        self.queue = AdmissionQueue(
-            max_depth=max_queue_depth, clock=clock, tracker=tracker
-        )
+        self.queue = AdmissionQueue(max_depth=max_queue_depth, clock=clock)
         self.scheduler = BatchScheduler(
             policy=policy,
             max_batch_queries=max_batch_queries,
             dedup=dedup,
-            tracker=tracker,
         )
         self.executor = ShardedExecutor(
             model=index.model,
@@ -136,7 +134,7 @@ class ServingPipeline:
             scorer=index.scorer,
             num_shards=num_shards,
             workers=workers,
-            tracker=tracker,
+            tracer=tracer,
             clock=clock,
         )
         self.retrieval = str(retrieval)
@@ -160,14 +158,9 @@ class ServingPipeline:
         graph: Graph,
         top_k: int = 5,
         timeout_seconds: Optional[float] = None,
-        **baggage: object,
     ) -> Optional[QueryRequest]:
-        """Admit one query; ``None`` means rejected (queue full).
-
-        Extra keyword arguments become trace-context baggage carried
-        with the request through every stage.
-        """
-        return self.queue.submit(graph, top_k, timeout_seconds, **baggage)
+        """Admit one query; ``None`` means rejected (queue full)."""
+        return self.queue.submit(graph, top_k, timeout_seconds)
 
     # -- serving ---------------------------------------------------------
     def run_round(
@@ -180,69 +173,80 @@ class ServingPipeline:
         executed, and answered. Responses are in request-id order.
         """
         live, dead = self.queue.take(max_items)
-        tracker = self.tracker
+        tracer = self.tracer
         # Stage boundaries are shared clock readings: each stage's span
         # starts exactly where the previous one ended, so per-request
         # budgets sum to the measured latency.
         taken_at = self.queue.last_take_at
+        if tracer is not None:
+            for requests, attrs in ((live, {}), (dead, {"expired": True})):
+                for request in requests:
+                    tracer.record(
+                        "admission",
+                        request.submitted_at,
+                        taken_at,
+                        request_ids=(request.request_id,),
+                        **attrs,
+                    )
         responses: List[QueryResponse] = [
             self._respond(request, tuple(), "expired", stage_start=taken_at)
             for request in dead
         ]
         if live:
-            with span("serve.schedule", requests=len(live)):
-                batches = self.scheduler.build_batches(live)
-            pending_since = None
-            if tracker is not None:
-                schedule_end = self.clock()
-                for request in live:
-                    tracker.record(
-                        request.request_id,
-                        "schedule",
-                        start=taken_at,
-                        duration_seconds=schedule_end - taken_at,
-                        policy=self.scheduler.policy.value,
-                    )
-                pending_since = schedule_end
+            batches = self.scheduler.build_batches(live)
+            scheduled_at = None
+            if tracer is not None:
+                scheduled_at = self.clock()
+                tracer.record(
+                    "schedule",
+                    taken_at,
+                    scheduled_at,
+                    request_ids=[request.request_id for request in live],
+                    policy=self.scheduler.policy.value,
+                )
+                for batch in batches:
+                    for group in batch.groups:
+                        tracer.annotate(
+                            [request.request_id for request in group.requests],
+                            batch=batch.batch_id,
+                            group_size=len(group),
+                            primary=group.primary.request_id,
+                            policy=self.scheduler.policy.value,
+                        )
             for batch in batches:
+                # Every batch waits from the end of scheduling: its
+                # pending stage covers the earlier batches of the round.
+                pending_since = scheduled_at
                 candidates = None
                 if self.retriever is not None:
-                    with span(
-                        "serve.retrieve",
-                        batch=batch.batch_id,
-                        queries=len(batch.groups),
-                    ):
-                        candidates = self.retriever.retrieve_batch(
-                            [
-                                (group.graph, group.top_k)
-                                for group in batch.groups
-                            ]
+                    if tracer is not None:
+                        retrieve_start = self.clock()
+                        tracer.record(
+                            "pending",
+                            scheduled_at,
+                            retrieve_start,
+                            request_ids=batch.request_ids,
+                            batch=batch.batch_id,
                         )
-                    if tracker is not None:
-                        # The retrieve stage opens where scheduling (or
-                        # the previous batch) ended and hands its end to
-                        # the executor as the pending-stage start, so
-                        # stage budgets stay contiguous on the clock.
-                        retrieve_end = self.clock()
-                        for group in batch.groups:
-                            for request in group.requests:
-                                tracker.record(
-                                    request.request_id,
-                                    "retrieve",
-                                    start=pending_since,
-                                    duration_seconds=(
-                                        retrieve_end - pending_since
-                                    ),
-                                    batch=batch.batch_id,
-                                    candidates=len(candidates),
-                                )
-                        pending_since = retrieve_end
+                    candidates = self.retriever.retrieve_batch(
+                        [(group.graph, group.top_k) for group in batch.groups]
+                    )
+                    if tracer is not None:
+                        pending_since = self.clock()
+                        tracer.record(
+                            "retrieve",
+                            retrieve_start,
+                            pending_since,
+                            request_ids=batch.request_ids,
+                            batch=batch.batch_id,
+                            candidates=len(candidates),
+                        )
                 rankings = self.executor.run_batch(
                     batch, pending_since=pending_since, candidates=candidates
                 )
                 batch_end = (
                     self.executor.last_batch_end
-                    if tracker is not None
+                    if tracer is not None
                     else None
                 )
                 for group, ranking in zip(batch.groups, rankings):
@@ -253,9 +257,6 @@ class ServingPipeline:
                                 request, ranking, "ok", stage_start=batch_end
                             )
                         )
-                # The next batch's pending stage starts where this
-                # one's ranking ended (response assembly included).
-                pending_since = batch_end
         if self.recorder is not None:
             self.recorder.maybe_snapshot()
         responses.sort(key=lambda response: response.request_id)
@@ -315,20 +316,20 @@ class ServingPipeline:
                 latency,
                 bounds=LATENCY_BUCKETS,
             )
-        tracker = self.tracker
-        if tracker is not None:
+        tracer = self.tracer
+        if tracer is not None:
             if stage_start is not None:
                 # Same ``now`` as the latency read, so the respond span
                 # closes the request's budget exactly.
-                tracker.record(
-                    request.request_id,
+                tracer.record(
                     "respond",
-                    start=stage_start,
-                    duration_seconds=now - stage_start,
+                    stage_start,
+                    now,
+                    request_ids=(request.request_id,),
                     status=status,
                 )
             if metrics is not None:
-                for stage, seconds in tracker.budgets(
+                for stage, seconds in tracer.budgets(
                     request.request_id
                 ).items():
                     metrics.observe(
@@ -342,7 +343,7 @@ class ServingPipeline:
                     request.request_id,
                     latency,
                     status,
-                    tracker.tree(request.request_id),
+                    tracer.tree(request.request_id),
                 )
         elif self.exemplars is not None:
             self.exemplars.offer(request.request_id, latency, status, None)
@@ -371,9 +372,9 @@ class ServingPipeline:
             payload["latency_p99_seconds"] = float(latency.quantile(0.99))
         if self.retriever is not None:
             payload.update(self.retriever.stats())
-        if self.tracker is not None:
-            payload["tracked_requests"] = float(len(self.tracker))
-            payload["dropped_spans"] = float(self.tracker.dropped_spans)
+        if self.tracer is not None:
+            payload["tracked_requests"] = float(len(self.tracer.request_ids()))
+            payload["dropped_spans"] = float(self.tracer.dropped_spans)
         if self.recorder is not None:
             payload["windows"] = float(len(self.recorder.windows))
         if self.exemplars is not None:

@@ -12,15 +12,9 @@ the ``search.serve.queue_depth`` gauge flow through :mod:`repro.obs`
 and are free when metrics are off. The clock is injectable so deadline
 behaviour is testable without sleeping.
 
-Every admitted request carries a
-:class:`~repro.obs.context.RequestContext` (request id + deadline +
-baggage) — the trace identity that travels with it through every later
-stage. When the queue was built with a
-:class:`~repro.obs.context.RequestTracker`, dequeue records each
-request's ``admission`` stage span ``[submitted_at → take]`` on the
-shared pipeline clock; the scheduler's span starts where admission
-ends (via :attr:`AdmissionQueue.last_take_at`), which is what makes
-per-stage budgets sum to the measured latency.
+:attr:`AdmissionQueue.last_take_at` is the clock reading of the last
+dequeue: the shared boundary where a traced pipeline ends each
+request's ``admission`` span and starts the round's ``schedule`` span.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from ..graphs.graph import Graph
 from ..obs import get_metrics
-from ..obs.context import RequestContext, RequestTracker
 from .results import SearchResult
 
 __all__ = ["QueryRequest", "QueryResponse", "AdmissionQueue"]
@@ -52,9 +45,6 @@ class QueryRequest:
     top_k: int
     submitted_at: float
     deadline: Optional[float] = None
-    #: Trace identity carried through every stage (and across the shm
-    #: worker boundary); always populated by ``AdmissionQueue.submit``.
-    context: Optional[RequestContext] = None
 
     def expired(self, now: float) -> bool:
         return self.deadline is not None and now > self.deadline
@@ -91,22 +81,17 @@ class AdmissionQueue:
     clock:
         Monotonic-seconds callable; injectable for tests. Deadlines are
         absolute values of this clock.
-    tracker:
-        Optional :class:`~repro.obs.context.RequestTracker`; when set,
-        dequeue records each request's ``admission`` stage span.
     """
 
     def __init__(
         self,
         max_depth: int = 1024,
         clock: Callable[[], float] = time.monotonic,
-        tracker: Optional[RequestTracker] = None,
     ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
         self.clock = clock
-        self.tracker = tracker
         self._pending: Deque[QueryRequest] = deque()
         self._next_id = 0
         self.admitted = 0
@@ -128,14 +113,11 @@ class AdmissionQueue:
         graph: Graph,
         top_k: int = 5,
         timeout_seconds: Optional[float] = None,
-        **baggage: object,
     ) -> Optional[QueryRequest]:
         """Admit a query, or reject it when the queue is full.
 
         Returns the admitted :class:`QueryRequest` (its ``request_id``
-        keys the eventual response) or ``None`` on rejection. Extra
-        keyword arguments become trace-context baggage that propagates
-        with the request through every stage.
+        keys the eventual response) or ``None`` on rejection.
         """
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
@@ -153,7 +135,6 @@ class AdmissionQueue:
             top_k=top_k,
             submitted_at=now,
             deadline=deadline,
-            context=RequestContext.make(self._next_id, deadline, **baggage),
         )
         self._next_id += 1
         self._pending.append(request)
@@ -181,24 +162,6 @@ class AdmissionQueue:
             budget -= 1
             (dead if request.expired(now) else live).append(request)
         self.last_take_at = now
-        if self.tracker is not None:
-            # The admission span covers queue residency; it ends at
-            # this shared ``now``, where the schedule span begins.
-            for request in live:
-                self.tracker.record(
-                    request.request_id,
-                    "admission",
-                    start=request.submitted_at,
-                    duration_seconds=now - request.submitted_at,
-                )
-            for request in dead:
-                self.tracker.record(
-                    request.request_id,
-                    "admission",
-                    start=request.submitted_at,
-                    duration_seconds=now - request.submitted_at,
-                    expired=True,
-                )
         metrics = get_metrics()
         if dead:
             self.expired += len(dead)

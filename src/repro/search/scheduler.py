@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..obs import get_metrics
-from ..obs.context import RequestTracker
 from .requests import QueryRequest
 from .storage import graph_signature
 
@@ -105,6 +104,15 @@ class QueryBatch:
         """Requests answered, including dedup followers."""
         return sum(len(group) for group in self.groups)
 
+    @property
+    def request_ids(self) -> Tuple[int, ...]:
+        """Ids of every request the batch answers, group by group."""
+        return tuple(
+            request.request_id
+            for group in self.groups
+            for request in group.requests
+        )
+
     def get_description(self) -> str:
         return (
             f"QueryBatch {self.batch_id} [{self.policy.value}]: "
@@ -126,11 +134,6 @@ class BatchScheduler:
     dedup:
         When False every request is its own group (the pre-dedup
         behaviour); kept for measurement, not for serving.
-    tracker:
-        Optional :class:`~repro.obs.context.RequestTracker`; when set,
-        every scheduled request is annotated with its batch id, group
-        size, and primary — the scheduling decision joined to the
-        request's span tree.
     """
 
     def __init__(
@@ -138,14 +141,12 @@ class BatchScheduler:
         policy: "SchedulingPolicy | str" = SchedulingPolicy.FIFO,
         max_batch_queries: int = 8,
         dedup: bool = True,
-        tracker: Optional[RequestTracker] = None,
     ) -> None:
         if max_batch_queries < 1:
             raise ValueError("max_batch_queries must be >= 1")
         self.policy = SchedulingPolicy.parse(policy)
         self.max_batch_queries = max_batch_queries
         self.dedup = dedup
-        self.tracker = tracker
         self._next_batch_id = 0
 
     def group_requests(
@@ -201,15 +202,4 @@ class BatchScheduler:
                 "search.serve.deduped_requests",
                 len(requests) - len(groups),
             )
-        if self.tracker is not None:
-            for batch in batches:
-                for group in batch.groups:
-                    for request in group.requests:
-                        self.tracker.annotate(
-                            request.request_id,
-                            batch=batch.batch_id,
-                            group_size=len(group),
-                            primary=group.primary.request_id,
-                            policy=self.policy.value,
-                        )
         return batches

@@ -320,9 +320,11 @@ def traces_from_buffer(buffer) -> List[BatchTrace]:
 def _build_traces(data) -> List[BatchTrace]:
     manifest = json.loads(str(data["manifest"]))
     version = manifest.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported trace format version {version}"
+            f"unsupported trace format version {version}; this build "
+            f"reads version {FORMAT_VERSION} — re-profile the workload "
+            "(repro profile) to regenerate the file"
         )
     batch_traces: List[BatchTrace] = []
     for b, batch_entry in enumerate(manifest["batches"]):
@@ -354,7 +356,7 @@ def _build_traces(data) -> List[BatchTrace]:
                 for i, entry in enumerate(pair_entry["layers"])
             ]
             head_features = None
-            if pair_entry.get("has_head_features"):
+            if pair_entry["has_head_features"]:
                 head_features = data[f"{prefix}/head_features"]
             trace = PairTrace(
                 pair_entry["model_name"],

@@ -408,17 +408,15 @@ class TestBenchForwarding:
 def _run_report_file(tmp_path, stem, macs=100.0, simulate_s=1.0):
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.report import RunReport
-    from repro.perf.timing import StageTimer
     from repro.platforms import RunSpec
 
     registry = MetricsRegistry()
     registry.inc("sim.macs", macs, platform="CEGMA")
-    timer = StageTimer()
-    timer.record("simulate", simulate_s)
+    timings = {"simulate": {"seconds": simulate_s, "calls": 1}}
     report = RunReport(
         spec=RunSpec.make("GMN-Li", "AIDS", 4, 4, 0),
         metrics=registry,
-        timer=timer,
+        timings=timings,
         created_at="2026-08-07T00:00:00Z",
         git_sha="deadbeef",
     )

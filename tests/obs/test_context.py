@@ -1,128 +1,127 @@
-"""Tests for request-scoped trace context and span trees."""
+"""Tests for the request-scoped views of the span recorder."""
 
 import pytest
 
 from repro.obs import metrics_enabled
-from repro.obs.context import (
-    RequestContext,
-    RequestTracker,
-    StageSpan,
-    render_tree,
-)
-
-
-class TestRequestContext:
-    def test_make_freezes_sorted_baggage(self):
-        context = RequestContext.make(7, 12.5, tenant="acme", arm=3)
-        assert context.request_id == 7
-        assert context.deadline == 12.5
-        assert context.baggage == (("arm", "3"), ("tenant", "acme"))
-        assert context.bag() == {"arm": "3", "tenant": "acme"}
-
-    def test_wire_round_trip(self):
-        context = RequestContext.make(1, 2.0, tenant="acme")
-        assert RequestContext.from_wire(context.to_wire()) == context
-
-    def test_wire_round_trip_without_optionals(self):
-        context = RequestContext.make(4)
-        wire = context.to_wire()
-        assert wire == {"request_id": 4}
-        assert RequestContext.from_wire(wire) == context
-
-    def test_from_wire_requires_request_id(self):
-        with pytest.raises(KeyError):
-            RequestContext.from_wire({"deadline": 1.0})
+from repro.obs.tracing import Tracer, render_tree
 
 
 class TestStageSpan:
     def test_wire_round_trip(self):
-        span = StageSpan(
-            request_id=3,
-            stage="execute.shard",
-            start=1.5,
-            duration_seconds=0.25,
+        worker = Tracer()
+        event = worker.record(
+            "execute.shard",
+            9.0,
+            9.25,
             parent="execute",
-            attrs=(("shard", "0:8"),),
+            request_ids=(7, 8),
+            shard="0:4",
         )
-        assert StageSpan.from_wire(span.to_wire()) == span
+        parent = Tracer()
+        parent.add_events(worker.events)
+        assert parent.events == [event]
+        assert parent.spans_for(8) == [event]
+        assert event["args"] == {"shard": "0:4"}
+        assert event["dur"] == pytest.approx(0.25e6)
 
     def test_wire_omits_empty_optionals(self):
-        span = StageSpan(
-            request_id=1, stage="rank", start=0.0, duration_seconds=0.1
-        )
-        wire = span.to_wire()
-        assert "parent" not in wire and "attrs" not in wire
-        assert StageSpan.from_wire(wire) == span
+        tracer = Tracer()
+        event = tracer.record("rank", 0.0, 1.0)
+        assert set(event) == {"name", "cat", "ph", "ts", "dur", "pid", "tid"}
 
 
 class TestRecording:
     def test_budgets_sum_top_level_durations(self):
-        tracker = RequestTracker()
-        tracker.record(1, "admission", start=0.0, duration_seconds=0.1)
-        tracker.record(1, "execute", start=0.1, duration_seconds=0.5)
-        tracker.record(
-            1,
-            "execute.shard",
-            start=0.1,
-            duration_seconds=0.2,
-            parent="execute",
+        tracer = Tracer()
+        tracer.record("admission", 0.0, 0.1, request_ids=(1,))
+        tracer.record("execute", 0.1, 0.6, request_ids=(1,))
+        tracer.record(
+            "execute.shard", 0.1, 0.3, parent="execute", request_ids=(1,)
         )
-        budgets = tracker.budgets(1)
+        budgets = tracer.budgets(1)
         # Child spans never count toward the budget: they overlap their
         # parent, so including them would double-count wall-clock time.
-        assert budgets == {"admission": 0.1, "execute": 0.5}
+        assert budgets == pytest.approx({"admission": 0.1, "execute": 0.5})
         assert sum(budgets.values()) == pytest.approx(0.6)
 
     def test_negative_durations_clamp_to_zero(self):
-        tracker = RequestTracker()
-        span = tracker.record(1, "rank", start=5.0, duration_seconds=-0.5)
-        assert span.duration_seconds == 0.0
+        tracer = Tracer()
+        event = tracer.record("rank", 5.0, 4.5, request_ids=(1,))
+        assert event["dur"] == 0.0
 
     def test_unknown_request_reads_are_empty(self):
-        tracker = RequestTracker()
-        assert tracker.spans_for(99) == []
-        assert tracker.annotations_for(99) == {}
-        assert tracker.budgets(99) == {}
-        assert tracker.tree(99) is None
+        tracer = Tracer()
+        assert tracer.spans_for(99) == []
+        assert tracer.annotations_for(99) == {}
+        assert tracer.budgets(99) == {}
+        assert tracer.tree(99) is None
 
     def test_eviction_counts_dropped_spans(self):
-        tracker = RequestTracker(max_requests=2)
+        tracer = Tracer(max_spans=2)
         with metrics_enabled() as registry:
-            tracker.record(1, "admission", start=0.0, duration_seconds=0.1)
-            tracker.record(1, "execute", start=0.1, duration_seconds=0.2)
-            tracker.record(2, "admission", start=0.0, duration_seconds=0.1)
-            tracker.record(3, "admission", start=0.0, duration_seconds=0.1)
-        assert tracker.request_ids() == [2, 3]
-        assert tracker.dropped_spans == 2
+            tracer.record("admission", 0.0, 0.1, request_ids=(1,))
+            tracer.record("execute", 0.1, 0.3, request_ids=(1,))
+            tracer.record("admission", 0.0, 0.1, request_ids=(2,))
+            tracer.record("admission", 0.0, 0.1, request_ids=(3,))
+        assert tracer.request_ids() == [2, 3]
+        assert tracer.dropped_spans == 2
         assert registry.counter("obs.context.dropped_spans") == 2
 
     def test_eviction_without_registry_still_counts(self):
-        tracker = RequestTracker(max_requests=1)
-        tracker.record(1, "admission", start=0.0, duration_seconds=0.1)
-        tracker.record(2, "admission", start=0.0, duration_seconds=0.1)
-        assert tracker.dropped_spans == 1
+        tracer = Tracer(max_spans=1)
+        tracer.record("admission", 0.0, 0.1, request_ids=(1,))
+        tracer.record("admission", 0.0, 0.1, request_ids=(2,))
+        assert tracer.dropped_spans == 1
 
     def test_max_requests_must_be_positive(self):
         with pytest.raises(ValueError):
-            RequestTracker(max_requests=0)
+            Tracer(max_spans=0)
+
+
+class TestSharedSpans:
+    def test_group_members_share_one_span(self):
+        """A span recorded once for a dedup group joins every member's
+        view; its own stages stay per request."""
+        tracer = Tracer()
+        tracer.record("execute", 0.0, 0.5, request_ids=(1, 2, 3))
+        shard = tracer.record(
+            "execute.shard", 0.0, 0.2, parent="execute",
+            request_ids=(1, 2, 3), shard="0:4",
+        )
+        tracer.record("respond", 0.5, 0.6, request_ids=(2,))
+        assert len(tracer) == 3
+        for member in (1, 2, 3):
+            assert shard in tracer.spans_for(member)
+        assert tracer.budgets(1) == pytest.approx({"execute": 0.5})
+        assert tracer.budgets(2) == pytest.approx(
+            {"execute": 0.5, "respond": 0.1}
+        )
+
+    def test_eviction_unlinks_shared_span_from_every_member(self):
+        tracer = Tracer(max_spans=2)
+        tracer.record("schedule", 0.0, 0.1, request_ids=(1, 2))
+        tracer.record("admission", 0.0, 0.1, request_ids=(2,))
+        tracer.record("admission", 0.0, 0.1, request_ids=(3,))
+        assert tracer.request_ids() == [2, 3]
+        assert [s["name"] for s in tracer.spans_for(2)] == ["admission"]
 
 
 class TestTree:
     def _tracked(self):
-        tracker = RequestTracker()
-        tracker.annotate(5, batch=0, primary=5)
-        tracker.record(5, "admission", start=0.0, duration_seconds=0.1)
-        tracker.record(5, "execute", start=0.2, duration_seconds=0.5)
-        tracker.record(
-            5,
+        tracer = Tracer()
+        tracer.annotate([5], batch=0, primary=5)
+        tracer.record("admission", 0.0, 0.1, request_ids=(5,))
+        tracer.record("execute", 0.2, 0.7, request_ids=(5,))
+        tracer.record(
             "execute.shard",
-            start=0.25,
-            duration_seconds=0.2,
+            0.25,
+            0.45,
             parent="execute",
+            request_ids=(5,),
             shard="0:4",
         )
-        tracker.record(5, "schedule", start=0.1, duration_seconds=0.1)
-        return tracker
+        tracer.record("schedule", 0.1, 0.2, request_ids=(5,))
+        return tracer
 
     def test_children_nest_under_parent_stage(self):
         tree = self._tracked().tree(5)
@@ -137,12 +136,11 @@ class TestTree:
         assert "orphan_spans" not in tree
 
     def test_orphan_children_are_kept_and_counted(self):
-        tracker = RequestTracker()
-        tracker.record(
-            1, "execute.shard", start=0.0, duration_seconds=0.1,
-            parent="execute",
+        tracer = Tracer()
+        tracer.record(
+            "execute.shard", 0.0, 0.1, parent="execute", request_ids=(1,)
         )
-        tree = tracker.tree(1)
+        tree = tracer.tree(1)
         assert tree["orphan_spans"] == 1
         assert [node["stage"] for node in tree["spans"]] == ["execute.shard"]
 
@@ -156,54 +154,39 @@ class TestTree:
 
 class TestWorkerTransport:
     def test_wire_ingest_round_trip(self):
-        worker = RequestTracker()
+        worker = Tracer()
         worker.record(
-            3,
             "execute.shard",
-            start=9.0,
-            duration_seconds=0.25,
+            9.0,
+            9.25,
             parent="execute",
+            request_ids=(3,),
             shard="4:8",
         )
-        parent = RequestTracker()
-        assert parent.ingest(worker.wire_spans()) == 1
+        parent = Tracer()
+        parent.add_events(worker.events)
+        assert len(parent) == 1
         (span,) = parent.spans_for(3)
         assert span == worker.spans_for(3)[0]
 
     def test_ingest_parent_override(self):
-        worker = RequestTracker()
-        worker.record(1, "shard", start=0.0, duration_seconds=0.1)
-        parent = RequestTracker()
-        parent.ingest(worker.wire_spans(), parent="execute")
-        assert parent.spans_for(1)[0].parent == "execute"
+        """A worker records its shard spans under ``execute``; folding
+        them in keeps that parent and the worker's pid."""
+        worker = Tracer()
+        worker.pid = 4242
+        worker.record("execute.shard", 0.0, 0.1, parent="execute",
+                      request_ids=(1,))
+        parent = Tracer()
+        parent.record("execute", 0.0, 0.2, request_ids=(1,))
+        parent.add_events(worker.events)
+        (execute,) = parent.tree(1)["spans"]
+        assert [c["stage"] for c in execute["children"]] == ["execute.shard"]
+        assert parent.spans_for(1)[1]["pid"] == 4242
 
     def test_wire_spans_filters_by_request(self):
-        tracker = RequestTracker()
-        tracker.record(1, "rank", start=0.0, duration_seconds=0.1)
-        tracker.record(2, "rank", start=0.0, duration_seconds=0.1)
+        tracer = Tracer()
+        tracer.record("rank", 0.0, 0.1, request_ids=(1,))
+        tracer.record("rank", 0.0, 0.1, request_ids=(2,))
         assert [
-            payload["request_id"]
-            for payload in tracker.wire_spans(request_ids=[2])
-        ] == [2]
-
-
-class TestReplicate:
-    def test_followers_get_marked_copies_of_children(self):
-        tracker = RequestTracker()
-        tracker.record(1, "execute", start=0.0, duration_seconds=0.5)
-        tracker.record(
-            1,
-            "execute.shard",
-            start=0.0,
-            duration_seconds=0.2,
-            parent="execute",
-            shard="0:4",
-        )
-        copied = tracker.replicate(1, [2, 3, 1])
-        assert copied == 2  # the source itself is skipped
-        for follower in (2, 3):
-            (span,) = tracker.spans_for(follower)
-            assert span.stage == "execute.shard"
-            assert span.attr_dict()["replicated_from"] == "1"
-        # Top-level spans are not replicated; followers get their own.
-        assert tracker.budgets(2) == {}
+            span["request_ids"] for span in tracer.spans_for(2)
+        ] == [(2,)]

@@ -6,7 +6,6 @@ from repro.obs.baseline import BaselineStore
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import RunReport
-from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
 
 SPEC = RunSpec.make("GMN-Li", "AIDS", 4, 4, 0)
@@ -16,12 +15,11 @@ def _report(created_at, macs, simulate_s=1.0, windows=None, exemplars=None):
     registry = MetricsRegistry()
     registry.inc("sim.macs", macs, platform="CEGMA")
     registry.inc("harness.trace_memo.hit", 3)
-    timer = StageTimer()
-    timer.record("simulate", simulate_s)
+    timings = {"simulate": {"seconds": simulate_s, "calls": 1}}
     return RunReport(
         spec=SPEC,
         metrics=registry,
-        timer=timer,
+        timings=timings,
         created_at=created_at,
         git_sha="deadbeef",
         windows=windows,

@@ -147,6 +147,8 @@ class TestParallelMerge:
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         payload = RunSpec.make("GMN-Li", "AIDS", 2, 2, 0).to_dict()
-        _, results, metrics_payload = _spec_task((payload, ("CEGMA",), False))
+        _, results, metrics_payload = _spec_task(
+            (payload, ("CEGMA",), (False, False))
+        )
         assert metrics_payload is None
         assert results["CEGMA"].num_pairs == 2

@@ -10,7 +10,6 @@ from repro.obs.regress import (
     is_deterministic,
 )
 from repro.obs.report import RunReport
-from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
 
 SPEC = RunSpec.make("GMN-Li", "AIDS", 4, 4, 0)
@@ -22,12 +21,11 @@ def _report(macs=100.0, hits=5.0, simulate_s=1.0, occupancy=(4, 8)):
     registry.inc("harness.trace_memo.hit", hits)
     for value in occupancy:
         registry.observe("cgc.window.occupancy", value, platform="CEGMA")
-    timer = StageTimer()
-    timer.record("simulate", simulate_s)
+    timings = {"simulate": {"seconds": simulate_s, "calls": 1}}
     return RunReport(
         spec=SPEC,
         metrics=registry,
-        timer=timer,
+        timings=timings,
         created_at="2026-08-07T00:00:00Z",
         git_sha="deadbeef",
     )

@@ -15,7 +15,6 @@ from repro.obs.report import (
 )
 from repro.obs.regress import compare_reports
 from repro.obs.tracing import Tracer
-from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
 
 SPEC = RunSpec.make("GMN-Li", "AIDS", 4, 4, 0)
@@ -28,9 +27,8 @@ def _report():
     tracer = Tracer()
     with tracer.span("simulate", platform="CEGMA"):
         pass
-    timer = StageTimer()
-    timer.record("profile", 1.5)
-    return RunReport(spec=SPEC, metrics=registry, tracer=tracer, timer=timer)
+    timings = {"profile": {"seconds": 1.5, "calls": 1}}
+    return RunReport(spec=SPEC, metrics=registry, tracer=tracer, timings=timings)
 
 
 class TestRoundTrip:

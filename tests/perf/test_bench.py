@@ -4,33 +4,38 @@ import json
 
 import pytest
 
-from repro.perf.timing import BenchReport, StageTimer, time_stage
+from repro.obs.tracing import Tracer, span, tracing_enabled
+from repro.perf.timing import BenchReport
 
 
 class TestStageTimer:
+    """Stage timings are a view over the span recorder."""
+
     def test_accumulates_seconds_and_calls(self):
-        timer = StageTimer()
+        tracer = Tracer()
         for _ in range(3):
-            with timer.stage("work"):
+            with tracer.span("work"):
                 pass
-        assert timer.calls["work"] == 3
-        assert timer.seconds["work"] >= 0.0
-        assert timer.total_seconds == sum(timer.seconds.values())
+        timings = tracer.timings("work")
+        assert timings["work"]["calls"] == 3
+        assert timings["work"]["seconds"] >= 0.0
+        assert timings["work"]["seconds"] == pytest.approx(
+            sum(event["dur"] for event in tracer.events) / 1e6
+        )
 
     def test_record_direct(self):
-        timer = StageTimer()
-        timer.record("io", 1.5)
-        timer.record("io", 0.5)
-        assert timer.seconds["io"] == 2.0
-        assert timer.calls["io"] == 2
+        tracer = Tracer()
+        tracer.record("io", 0.0, 1.5)
+        tracer.record("io", 4.0, 4.5)
+        assert tracer.timings("io") == {"io": {"seconds": 2.0, "calls": 2}}
 
     def test_time_stage_tolerates_none(self):
-        with time_stage(None, "anything"):
+        with span("anything"):  # no active tracer: a shared no-op
             pass
-        timer = StageTimer()
-        with time_stage(timer, "real"):
-            pass
-        assert timer.calls["real"] == 1
+        with tracing_enabled() as tracer:
+            with span("real"):
+                pass
+        assert tracer.timings("real")["real"]["calls"] == 1
 
 
 class TestBenchReport:

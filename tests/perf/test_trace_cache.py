@@ -238,8 +238,8 @@ class TestHeadFeaturesRoundTrip:
         assert np.array_equal(original, restored)
 
     def test_v1_files_still_load(self, tmp_path, monkeypatch):
-        """Entries written before the head-features field must load
-        (with head_features=None), not error."""
+        """Files written before the head-features field (format v1) are
+        refused with a regenerate hint, never misread."""
         import json
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
@@ -260,11 +260,8 @@ class TestHeadFeaturesRoundTrip:
         }
         arrays["manifest"] = np.array(json.dumps(manifest))
         np.savez_compressed(path, **arrays)
-        loaded = trace_io.load_traces(path)
-        assert loaded[0].pair_traces[0].head_features is None
-        assert loaded[0].pair_traces[0].score == pytest.approx(
-            traces[0].pair_traces[0].score
-        )
+        with pytest.raises(ValueError, match="version 1.*re-profile"):
+            trace_io.load_traces(path)
 
 
 class TestStoreFailureSurfaced:

@@ -211,16 +211,16 @@ class TestSchemaVersioning:
     def test_versionless_legacy_file_loads(
         self, small_index, small_database, tmp_path
     ):
-        """Files written before the version stamp are exactly v1."""
+        """Files written before the version stamp (v1) are refused with
+        the re-save hint, never misread."""
         from repro.search.storage import database_arrays
 
         arrays = database_arrays(small_database)
         del arrays["schema_version"]
         path = tmp_path / "legacy.npz"
         np.savez_compressed(path, **arrays)
-        restored = SimilaritySearchIndex.load(path, small_index.model)
-        assert len(restored) == len(small_database)
-        assert restored.graph(3) == small_database[3]
+        with pytest.raises(ValueError, match="re-save the database"):
+            SimilaritySearchIndex.load(path, small_index.model)
 
     def test_unknown_version_raises_actionable_error(
         self, small_index, small_database, tmp_path
