@@ -25,12 +25,12 @@ bench:
 # EMF + harness microbenchmarks; writes BENCH_emf.json / BENCH_harness.json
 # and appends each run to results/obs/bench_history/.
 bench-quick:
-	$(PYTHON) -m repro.perf.bench --quick
+	$(PYTHON) -m repro bench --quick
 
 # Serving-pipeline benchmark (flat query loop vs. staged pipeline);
 # writes BENCH_search.json with queries/sec and p50/p99 latency.
 bench-search:
-	$(PYTHON) -m repro.perf.bench --quick --only search
+	$(PYTHON) -m repro bench --quick --only search
 
 # Gate the newest recorded bench run against its config-matching
 # predecessor: exit 1 on deterministic check drift, 2 on a statistical

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: the package's only argument parser.
 
 Subcommands::
 
@@ -16,8 +16,8 @@ Subcommands::
     python -m repro serve --quick --request-trace \
         --window-seconds 0.25 --expo serve.prom --window-log windows.jsonl
     python -m repro obs tail windows.jsonl --prefix search.serve.
-    python -m repro experiments fig16 [--full] [--jobs N]
-    python -m repro bench [--quick]
+    python -m repro experiments fig16 [--full] [--jobs N] [--output FILE]
+    python -m repro bench [--quick] [--only emf|harness|search]
     python -m repro simulate --quick --model GMN-Li --dataset AIDS \
         --metrics --trace trace.json
     python -m repro obs show results/obs/..._report.json
@@ -43,12 +43,14 @@ Perfetto-loadable Chrome trace. ``repro obs`` pretty-prints, validates,
 and diffs those reports; ``obs check`` compares a fresh report against
 the baseline store and fails on deterministic-counter drift, ``obs
 provenance`` validates artifact stamps, and ``obs dashboard`` renders
-metric trends as static HTML. ``repro bench`` appends every run to the
-append-only history under ``results/obs/bench_history/``; ``obs bench
-record|compare|trend`` ingests BENCH files, gates the newest entry
-(deterministic checks exactly, timings statistically), and renders
-changepoint-annotated trends. ``obs diff``, ``obs check`` and ``obs
-bench compare`` share one comparator (:mod:`repro.obs.regress`).
+metric trends as static HTML. ``repro bench`` writes ``BENCH_*.json``
+and appends every run to the append-only history under
+``results/obs/bench_history/`` (``--history-dir`` or the
+``REPRO_BENCH_HISTORY`` env var relocate it; ``off`` disables it);
+``obs bench record|compare|trend`` ingests BENCH files, gates the
+newest entry (deterministic checks exactly, timings statistically), and
+renders changepoint-annotated trends. ``obs diff``, ``obs check`` and
+``obs bench compare`` share one comparator (:mod:`repro.obs.regress`).
 ``serve --request-trace`` joins every response to a per-stage span tree
 with SLO budget attribution and tail exemplars; ``--window-seconds``
 adds windowed rates/quantiles that ``obs tail`` replays from a RunReport
@@ -76,18 +78,74 @@ from .trace.profiler import profile_batches
 __all__ = ["main"]
 
 
-def _check_platforms(parser: argparse.ArgumentParser, platforms) -> None:
-    """Validate every platform spec up front with a helpful error."""
-    for spec in platforms:
-        try:
-            REGISTRY.parse(spec)
-        except (KeyError, ValueError) as exc:
-            parser.error(
-                f"invalid platform spec {spec!r}: {exc}\n"
-                f"known platforms: {', '.join(REGISTRY.names())} "
-                "(append @key=value,... to override config fields; "
-                "run 'python -m repro platforms' for the field list)"
-            )
+def _platform_spec(text: str) -> str:
+    """argparse ``type=`` for ``--platforms``: a valid registry spec."""
+    try:
+        REGISTRY.parse(text)
+    except (KeyError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(
+            f"invalid platform spec {text!r}: {exc}\n"
+            f"known platforms: {', '.join(REGISTRY.names())} "
+            "(append @key=value,... to override config fields; "
+            "run 'python -m repro platforms' for the field list)"
+        )
+    return text
+
+
+def _count(text: str) -> int:
+    """argparse ``type=`` for counts: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _require_workload(args) -> Optional[str]:
+    missing = [
+        f"--{name}" for name in ("model", "dataset") if getattr(args, name) is None
+    ]
+    if missing:
+        return f"the following arguments are required: {', '.join(missing)}"
+    return None
+
+
+def _check_describe(args) -> Optional[str]:
+    if args.input is None and (args.model is None or args.dataset is None):
+        return (
+            "describe needs --input FILE (a trace file), or --model and "
+            "--dataset (a workload to profile)"
+        )
+    return None
+
+
+def _check_serve(args) -> Optional[str]:
+    if args.window_log and args.window_seconds is None:
+        return "--window-log needs --window-seconds"
+    return None
+
+
+def _check_experiment(args) -> Optional[str]:
+    from .experiments.registry import EXPERIMENTS
+
+    if args.experiment != "all" and args.experiment not in EXPERIMENTS:
+        return (
+            f"unknown experiment {args.experiment!r}; known: all, "
+            f"{', '.join(sorted(EXPERIMENTS))}"
+        )
+    return None
+
+
+def _write_json(path, payload, what: str) -> None:
+    """The one ``--json-out`` writer: indented, key-sorted JSON."""
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {what} to {path}")
 
 
 def _print_results(results: dict) -> None:
@@ -105,14 +163,6 @@ def _print_results(results: dict) -> None:
     print(table.render())
 
 
-def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=MODEL_NAMES, required=True)
-    parser.add_argument("--dataset", choices=DATASET_NAMES, required=True)
-    parser.add_argument("--pairs", type=int, default=8)
-    parser.add_argument("--batch", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
-
-
 def _profile(args) -> List:
     pairs = load_dataset(args.dataset, seed=args.seed, num_pairs=args.pairs)
     model = build_model(
@@ -128,16 +178,15 @@ def _cmd_simulate(args) -> int:
         args.pairs = QUICK_PAIRS
         args.batch = QUICK_BATCH
     if not (args.metrics or args.trace):
-        return _run_simulate(args)
+        _run_simulate(args)
+        return 0
 
     from .obs import RunReport, metrics_enabled, span, tracing_enabled
     from .platforms import RunSpec
 
     with metrics_enabled() as registry, tracing_enabled() as tracer:
         with span("simulate_cli"):
-            status = _run_simulate(args)
-        if status != 0:  # pragma: no cover - argparse exits before this
-            return status
+            _run_simulate(args)
     if args.trace:
         trace_path = tracer.write(args.trace)
         print(f"wrote Chrome trace ({len(tracer)} events) to {trace_path}")
@@ -158,12 +207,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_simulate(args) -> int:
+def _run_simulate(args) -> None:
     from .obs import span
 
-    if getattr(args, "jobs", None) not in (None, 1) and not (
-        args.detailed or args.config
-    ):
+    if args.jobs not in (None, 1) and not (args.detailed or args.config):
         from .core.api import simulate_workload
 
         results = simulate_workload(
@@ -175,46 +222,39 @@ def _run_simulate(args) -> int:
             seed=args.seed,
             jobs=args.jobs,
         )
-        print(
-            f"{args.model} on {args.dataset} "
-            f"({args.pairs} pairs, batch {args.batch}) [{args.jobs} jobs]"
-        )
-        _print_results(results)
-        if getattr(args, "save", False):
-            _save_artifact(args, results)
-        return 0
-    with span("profile"):
-        traces = _profile(args)
-    with span("simulate"):
-        if args.detailed:
-            results = {}
-            for platform in args.platforms:
-                simulator = REGISTRY.build(platform)
-                if hasattr(simulator, "config"):
-                    simulator = DetailedSimulator(simulator.config)
-                results[platform] = simulator.simulate_batches(traces)
-        else:
-            results = simulate_traces(traces, args.platforms)
-    if args.config:
-        import json
+        mode = f" [{args.jobs} jobs]"
+    else:
+        with span("profile"):
+            traces = _profile(args)
+        with span("simulate"):
+            if args.detailed:
+                results = {}
+                for platform in args.platforms:
+                    simulator = REGISTRY.build(platform)
+                    if hasattr(simulator, "config"):
+                        simulator = DetailedSimulator(simulator.config)
+                    results[platform] = simulator.simulate_batches(traces)
+            else:
+                results = simulate_traces(traces, args.platforms)
+        if args.config:
+            import json
 
-        from .sim.config import HardwareConfig
-        from .sim.engine import AcceleratorSimulator
+            from .sim.config import HardwareConfig
+            from .sim.engine import AcceleratorSimulator
 
-        with open(args.config) as handle:
-            custom = HardwareConfig.from_dict(json.load(handle))
-        results[custom.name] = AcceleratorSimulator(custom).simulate_batches(
-            traces
-        )
+            with open(args.config) as handle:
+                custom = HardwareConfig.from_dict(json.load(handle))
+            results[custom.name] = AcceleratorSimulator(
+                custom
+            ).simulate_batches(traces)
+        mode = " [detailed mode]" if args.detailed else ""
     print(
         f"{args.model} on {args.dataset} "
-        f"({args.pairs} pairs, batch {args.batch})"
-        + (" [detailed mode]" if args.detailed else "")
+        f"({args.pairs} pairs, batch {args.batch}){mode}"
     )
     _print_results(results)
-    if getattr(args, "save", False):
+    if args.save:
         _save_artifact(args, results)
-    return 0
 
 
 def _save_artifact(args, results) -> None:
@@ -247,9 +287,7 @@ def _cmd_replay(args) -> int:
 def _cmd_describe(args) -> int:
     from .trace.summary import workload_summary
 
-    traces = (
-        load_traces(args.input) if args.input else _profile(args)
-    )
+    traces = load_traces(args.input) if args.input else _profile(args)
     summary = workload_summary(traces)
     table = ResultTable(["property", "value"])
     for key, value in summary.items():
@@ -278,7 +316,7 @@ def _cmd_experiments(args) -> int:
     from .experiments.registry import EXPERIMENTS, run_experiment
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if getattr(args, "jobs", None) not in (None, 1):
+    if args.jobs not in (None, 1):
         # Pre-warm the shared (model, dataset) workloads across worker
         # processes; the experiment runners then hit the memo/disk cache.
         from .experiments.common import (
@@ -300,7 +338,7 @@ def _cmd_experiments(args) -> int:
     for name in names:
         result = run_experiment(name, quick=not args.full, seed=args.seed)
         print(result.render())
-        if getattr(args, "plot", False):
+        if args.plot:
             from .experiments.plots import render_plots
 
             chart = render_plots(result)
@@ -376,21 +414,15 @@ def _finish_comparison(reports, json_out) -> int:
     """Shared tail of ``obs check`` and ``obs bench compare``: print
     every RegressionReport, optionally write them all as a JSON list,
     and exit 1 if any report failed, else with the highest exit code."""
-    import json
-
     for report in reports:
         print(report.render())
         print()
     if json_out:
-        with open(json_out, "w") as handle:
-            json.dump(
-                [report.to_dict() for report in reports],
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote {len(reports)} RegressionReport(s) to {json_out}")
+        _write_json(
+            json_out,
+            [report.to_dict() for report in reports],
+            f"{len(reports)} RegressionReport(s)",
+        )
     codes = {report.exit_code for report in reports}
     return 1 if 1 in codes else max(codes)
 
@@ -528,28 +560,64 @@ def _cmd_obs_tail(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from .perf.bench import main as bench_main
+    """Run the microbenchmarks, write ``BENCH_*.json``, and append each
+    report to the bench history.
 
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.only:
-        forwarded.extend(["--only", args.only])
-    if args.workers is not None:
-        forwarded.extend(["--workers", str(args.workers)])
-    forwarded.extend(["--repeats", str(args.repeats)])
-    forwarded.extend(["--output-dir", args.output_dir])
-    if args.history_dir:
-        forwarded.extend(["--history-dir", args.history_dir])
-    if args.no_history:
-        forwarded.append("--no-history")
-    return bench_main(forwarded)
+    The history is ``--history-dir``, else the ``REPRO_BENCH_HISTORY``
+    env var, else the default store; ``off`` (flag or env) turns
+    recording off. Exit 1 when any boolean equivalence check is False.
+    """
+    import logging
+    import os
 
+    from .obs import BenchHistory, configure_logging
+    from .perf.bench import bench_emf, bench_harness, bench_search
 
-def _bench_history(args):
-    from .obs import BenchHistory
-
-    return BenchHistory(args.history_dir)
+    # Bench results are the command's whole point: log them at INFO.
+    configure_logging(1)
+    logger = logging.getLogger("repro.perf.bench")
+    reports = []
+    if args.only in (None, "emf"):
+        reports.append(bench_emf(quick=args.quick, repeats=args.repeats))
+    if args.only in (None, "harness"):
+        reports.append(bench_harness(quick=args.quick, workers=args.workers))
+    if args.only in (None, "search"):
+        reports.append(
+            bench_search(
+                quick=args.quick, repeats=args.repeats, workers=args.workers
+            )
+        )
+    target = args.history_dir or os.environ.get("REPRO_BENCH_HISTORY")
+    history = None
+    if target is None or target.strip().lower() != "off":
+        history = BenchHistory(target)
+    failures = 0
+    for report in reports:
+        path = report.write(args.output_dir)
+        logger.info("wrote %s", path)
+        if history is not None:
+            # Appending happens after all timing is done, so history
+            # recording costs the benchmark nothing.
+            entry, appended = history.append(report.as_dict())
+            logger.info(
+                "%s history entry %s to %s",
+                "appended" if appended else "already recorded",
+                entry.entry_id,
+                history.path_for(entry.bench),
+            )
+        for label, value in report.speedups.items():
+            logger.info("  %s: %.2fx", label, value)
+        for label, value in report.checks.items():
+            logger.info("  check %s: %s", label, value)
+            # Boolean checks are equivalence assertions (batched vs
+            # serial, cached vs uncached); a False one fails the run so
+            # CI's bench smoke gates on them.
+            if value is False:
+                failures += 1
+    if failures:
+        logger.error("%d equivalence check(s) failed", failures)
+        return 1
+    return 0
 
 
 def _cmd_obs_bench(args) -> int:
@@ -565,11 +633,16 @@ def _cmd_obs_bench(args) -> int:
     """
     import json
 
-    from .obs import compare_history, render_markdown_table, trend_report
+    from .obs import (
+        BenchHistory,
+        compare_history,
+        render_markdown_table,
+        trend_report,
+    )
     from .obs.analytics import render_trend
     from .obs.history import HistoryEntry
 
-    history = _bench_history(args)
+    history = BenchHistory(args.history_dir)
     if args.bench_command == "record":
         status = 0
         for path in args.files:
@@ -624,10 +697,7 @@ def _cmd_obs_bench(args) -> int:
             "kind": "repro-bench-trend-report",
             "trends": reports,
         }
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote trend report to {args.json_out}")
+        _write_json(args.json_out, payload, "trend report")
     return 0
 
 
@@ -637,8 +707,6 @@ def _cmd_validate(args) -> int:
     Exit codes follow ``obs check``: 0 all pass, 1 divergences found,
     2 usage error (unknown check name).
     """
-    import json
-
     from .obs.metrics import metrics_enabled
     from .validate import all_checks, get_check, mutation_smoke, run_checks
 
@@ -706,10 +774,7 @@ def _cmd_validate(args) -> int:
             if name.startswith("validate.")
         }
     if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote validation report to {args.json_out}")
+        _write_json(args.json_out, payload, "validation report")
     return exit_status
 
 
@@ -740,52 +805,47 @@ def _cmd_serve(args) -> int:
         args.database = 16
         args.batch = 4
 
-    window_sink = None
-    window_log_handle = None
-    if args.window_log:
-        window_log_handle = open(args.window_log, "w")
+    with ExitStack() as stack:
+        window_sink = None
+        if args.window_log:
+            window_log = stack.enter_context(open(args.window_log, "w"))
 
-        def window_sink(window):  # noqa: F811 - deliberate rebind
-            json.dump(window.to_dict(), window_log_handle, sort_keys=True)
-            window_log_handle.write("\n")
-            window_log_handle.flush()
+            def window_sink(window):
+                json.dump(window.to_dict(), window_log, sort_keys=True)
+                window_log.write("\n")
+                window_log.flush()
 
-    try:
-        with ExitStack() as stack:
-            # Metrics stay on unconditionally: the latency histogram
-            # behind the p50/p99 stats lives in the registry.
-            # --metrics controls whether a RunReport artifact is
-            # written; its timings are a view of the serve_cli span.
-            # The tracer is made active (tracing the pipeline) only
-            # under --trace, so --metrics alone adds no per-request work.
-            registry = stack.enter_context(metrics_enabled())
-            tracer = Tracer()
-            if args.trace:
-                stack.enter_context(tracing_enabled(tracer))
-            with tracer.span("serve_cli"):
-                outcome = serve_query_stream(
-                    args.model,
-                    args.dataset,
-                    num_queries=args.queries,
-                    database_size=args.database,
-                    database_unique=args.database_unique,
-                    distinct_queries=args.distinct,
-                    top_k=args.top_k,
-                    policy=args.policy,
-                    max_batch_queries=args.batch,
-                    num_shards=args.shards,
-                    workers=args.workers,
-                    retrieval=args.retrieval,
-                    max_queue_depth=args.queue_depth,
-                    timeout_seconds=args.timeout,
-                    seed=args.seed,
-                    request_tracing=args.request_trace,
-                    window_seconds=args.window_seconds,
-                    on_window=window_sink,
-                )
-    finally:
-        if window_log_handle is not None:
-            window_log_handle.close()
+        # Metrics stay on unconditionally: the latency histogram
+        # behind the p50/p99 stats lives in the registry.
+        # --metrics controls whether a RunReport artifact is
+        # written; its timings are a view of the serve_cli span.
+        # The tracer is made active (tracing the pipeline) only
+        # under --trace, so --metrics alone adds no per-request work.
+        registry = stack.enter_context(metrics_enabled())
+        tracer = Tracer()
+        if args.trace:
+            stack.enter_context(tracing_enabled(tracer))
+        with tracer.span("serve_cli"):
+            outcome = serve_query_stream(
+                args.model,
+                args.dataset,
+                num_queries=args.queries,
+                database_size=args.database,
+                database_unique=args.database_unique,
+                distinct_queries=args.distinct,
+                top_k=args.top_k,
+                policy=args.policy,
+                max_batch_queries=args.batch,
+                num_shards=args.shards,
+                workers=args.workers,
+                retrieval=args.retrieval,
+                max_queue_depth=args.queue_depth,
+                timeout_seconds=args.timeout,
+                seed=args.seed,
+                request_tracing=args.request_trace,
+                window_seconds=args.window_seconds,
+                on_window=window_sink,
+            )
     stats = outcome["stats"]
     config = outcome["config"]
     print(
@@ -815,7 +875,7 @@ def _cmd_serve(args) -> int:
             )
             if worst.tree is not None:
                 print(render_tree(worst.tree))
-    if args.window_log and recorder is not None:
+    if args.window_log:
         print(
             f"wrote {len(windows)} window snapshot(s) to {args.window_log}"
         )
@@ -852,14 +912,11 @@ def _cmd_serve(args) -> int:
             metrics=registry.as_dict(),
             generator="repro serve",
         )
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote serve stats to {args.json_out}")
+        _write_json(args.json_out, payload, "serve stats")
     return 0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="CEGMA reproduction: simulate GMN workloads and "
@@ -880,17 +937,57 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    simulate = subparsers.add_parser(
-        "simulate", help="profile a workload and simulate platforms"
-    )
-    _add_workload_arguments(simulate)
-    simulate.add_argument(
+    # Options shared by several subcommands, each declared once.
+    # --model/--dataset are required per subcommand by a ``check``.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--model", choices=MODEL_NAMES)
+    workload.add_argument("--dataset", choices=DATASET_NAMES)
+    workload.add_argument("--pairs", type=_count, default=8)
+    workload.add_argument("--batch", type=_count, default=8)
+    workload.add_argument("--seed", type=int, default=0)
+    platforms_option = argparse.ArgumentParser(add_help=False)
+    platforms_option.add_argument(
         "--platforms",
         nargs="+",
+        type=_platform_spec,
         default=list(DEFAULT_PLATFORMS),
         metavar="SPEC",
         help="platform names or spec strings such as "
         '"CEGMA@bandwidth_gbps=512" (see: python -m repro platforms)',
+    )
+    history_option = argparse.ArgumentParser(add_help=False)
+    history_option.add_argument(
+        "--history-dir",
+        default=None,
+        metavar="DIR",
+        help="bench history root (default: results/obs/bench_history; "
+        "repro bench also reads the REPRO_BENCH_HISTORY env var, and "
+        "'off' disables its recording)",
+    )
+    store_option = argparse.ArgumentParser(add_help=False)
+    store_option.add_argument(
+        "--baseline-dir",
+        default=None,
+        metavar="DIR",
+        help="baseline store root (default: results/obs/baselines)",
+    )
+    json_option = argparse.ArgumentParser(add_help=False)
+    json_option.add_argument(
+        "--json-out",
+        metavar="FILE",
+        help="also write this command's report as JSON",
+    )
+    trace_option = argparse.ArgumentParser(add_help=False)
+    trace_option.add_argument(
+        "--trace",
+        metavar="FILE",
+        help="write a Perfetto-loadable Chrome trace of the run",
+    )
+
+    simulate = subparsers.add_parser(
+        "simulate",
+        help="profile a workload and simulate platforms",
+        parents=[workload, platforms_option, trace_option],
     )
     simulate.add_argument(
         "--save",
@@ -923,29 +1020,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="collect obs counters and print + save a RunReport",
     )
     simulate.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="write a Perfetto-loadable Chrome trace of the run",
-    )
-    simulate.add_argument(
         "--profile",
         metavar="FILE",
         help="cProfile the run; write collapsed stacks (speedscope/"
         "flamegraph format) to FILE",
     )
-    simulate.set_defaults(handler=_cmd_simulate)
+    simulate.set_defaults(handler=_cmd_simulate, check=_require_workload)
 
     serve = subparsers.add_parser(
         "serve",
         help="drive a synthetic query stream through the serving pipeline",
+        parents=[json_option, trace_option],
     )
     serve.add_argument("--model", choices=MODEL_NAMES, default="GMN-Li")
     serve.add_argument("--dataset", choices=DATASET_NAMES, default="AIDS")
     serve.add_argument(
-        "--queries", type=int, default=16, help="stream length"
+        "--queries", type=_count, default=16, help="stream length"
     )
     serve.add_argument(
-        "--database", type=int, default=32, help="database size (graphs)"
+        "--database", type=_count, default=32, help="database size (graphs)"
     )
     serve.add_argument(
         "--database-unique",
@@ -961,7 +1054,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="distinct query graphs in the stream (repeats model hot "
         "queries; default min(queries, 8))",
     )
-    serve.add_argument("--top-k", type=int, default=5)
+    serve.add_argument("--top-k", type=_count, default=5)
     serve.add_argument(
         "--policy",
         choices=("fifo", "deadline", "size_bucketed"),
@@ -1013,16 +1106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write a RunReport artifact with serving counters",
     )
     serve.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="write a Perfetto-loadable Chrome trace of the run",
-    )
-    serve.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="write stream config + serving stats as JSON (CI smoke)",
-    )
-    serve.add_argument(
         "--request-trace",
         action="store_true",
         help="per-request span trees + stage budget attribution + "
@@ -1048,27 +1131,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write a Prometheus-style text exposition of the final "
         "registry (plus the latest window's quantiles)",
     )
-    serve.set_defaults(handler=_cmd_serve)
+    serve.set_defaults(handler=_cmd_serve, check=_check_serve)
 
     profile = subparsers.add_parser(
-        "profile", help="profile a workload into a trace file"
+        "profile",
+        help="profile a workload into a trace file",
+        parents=[workload],
     )
-    _add_workload_arguments(profile)
     profile.add_argument("--output", required=True)
-    profile.set_defaults(handler=_cmd_profile)
+    profile.set_defaults(handler=_cmd_profile, check=_require_workload)
 
     replay = subparsers.add_parser(
-        "replay", help="simulate platforms from a trace file"
+        "replay",
+        help="simulate platforms from a trace file",
+        parents=[platforms_option],
     )
     replay.add_argument("--input", required=True)
-    replay.add_argument(
-        "--platforms",
-        nargs="+",
-        default=list(DEFAULT_PLATFORMS),
-        metavar="SPEC",
-        help="platform names or spec strings such as "
-        '"CEGMA@bandwidth_gbps=512" (see: python -m repro platforms)',
-    )
     replay.set_defaults(handler=_cmd_replay)
 
     platforms = subparsers.add_parser(
@@ -1078,15 +1156,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     platforms.set_defaults(handler=_cmd_platforms)
 
     describe = subparsers.add_parser(
-        "describe", help="summarize a workload (profiled or from a trace file)"
+        "describe",
+        help="summarize a workload (profiled or from a trace file)",
+        parents=[workload],
     )
-    describe.add_argument("--model", choices=MODEL_NAMES)
-    describe.add_argument("--dataset", choices=DATASET_NAMES)
-    describe.add_argument("--pairs", type=int, default=8)
-    describe.add_argument("--batch", type=int, default=8)
-    describe.add_argument("--seed", type=int, default=0)
     describe.add_argument("--input", help="trace file instead of profiling")
-    describe.set_defaults(handler=_cmd_describe)
+    describe.set_defaults(handler=_cmd_describe, check=_check_describe)
 
     render = subparsers.add_parser(
         "render-schedule",
@@ -1130,12 +1205,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="FILE",
         help="cProfile the harness; write collapsed stacks to FILE",
     )
-    experiments.set_defaults(handler=_cmd_experiments)
+    experiments.set_defaults(
+        handler=_cmd_experiments, check=_check_experiment
+    )
 
     bench = subparsers.add_parser(
         "bench",
         help="run the EMF/harness/search microbenchmarks "
         "(writes BENCH_*.json and appends to the bench history)",
+        parents=[history_option],
     )
     bench.add_argument("--quick", action="store_true")
     bench.add_argument("--repeats", type=int, default=3)
@@ -1143,18 +1221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.add_argument("--output-dir", default=".")
     bench.add_argument(
         "--only", choices=("emf", "harness", "search"), default=None
-    )
-    bench.add_argument(
-        "--history-dir",
-        default=None,
-        metavar="DIR",
-        help="bench history root (default: results/obs/bench_history, "
-        "or the REPRO_BENCH_HISTORY env var; 'off' disables)",
-    )
-    bench.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append this run to the bench history",
     )
     bench.set_defaults(handler=_cmd_bench)
 
@@ -1181,21 +1247,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_diff.add_argument("new")
     obs_diff.set_defaults(handler=_cmd_obs)
 
-    def _add_store_argument(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--baseline-dir",
-            default=None,
-            metavar="DIR",
-            help="baseline store root (default: results/obs/baselines)",
-        )
-
     obs_check = obs_sub.add_parser(
         "check",
         help="compare a RunReport against its baseline; exit 1 on "
         "regressions (deterministic counters exact, timings in band)",
+        parents=[store_option, json_option],
     )
     obs_check.add_argument("report")
-    _add_store_argument(obs_check)
     obs_check.add_argument(
         "--baseline",
         metavar="FILE",
@@ -1221,11 +1279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=20,
         help="baselines kept per workload when archiving (default 20)",
     )
-    obs_check.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the RegressionReport as JSON (a one-item list)",
-    )
     obs_check.set_defaults(handler=_cmd_obs_check)
 
     obs_prov = obs_sub.add_parser(
@@ -1238,8 +1291,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_dash = obs_sub.add_parser(
         "dashboard",
         help="render a static HTML dashboard of baseline metric trends",
+        parents=[store_option, history_option],
     )
-    _add_store_argument(obs_dash)
     obs_dash.add_argument(
         "--output",
         default=None,
@@ -1252,19 +1305,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=30,
         help="baselines per workload shown in trend lines",
     )
-    obs_dash.add_argument(
-        "--history-dir",
-        default=None,
-        metavar="DIR",
-        help="bench history root for the trajectory page "
-        "(default: results/obs/bench_history)",
-    )
     obs_dash.set_defaults(handler=_cmd_obs_dashboard)
 
     obs_baselines = obs_sub.add_parser(
-        "baselines", help="list archived baselines per workload"
+        "baselines",
+        help="list archived baselines per workload",
+        parents=[store_option],
     )
-    _add_store_argument(obs_baselines)
     obs_baselines.set_defaults(handler=_cmd_obs_baselines)
 
     obs_bench = obs_sub.add_parser(
@@ -1276,24 +1323,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         dest="bench_command", required=True
     )
 
-    def _add_history_argument(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--history-dir",
-            default=None,
-            metavar="DIR",
-            help="bench history root "
-            "(default: results/obs/bench_history)",
-        )
-
     obs_bench_record = obs_bench_sub.add_parser(
         "record",
         help="ingest BENCH_*.json files into the history "
         "(idempotent; exit 1 on unreadable files)",
+        parents=[history_option],
     )
     obs_bench_record.add_argument(
         "files", nargs="+", help="BENCH_*.json payloads to ingest"
     )
-    _add_history_argument(obs_bench_record)
     obs_bench_record.set_defaults(handler=_cmd_obs_bench)
 
     obs_bench_compare = obs_bench_sub.add_parser(
@@ -1301,6 +1339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="gate the newest history entry per bench against its "
         "config-matching predecessor (exit 1: check drift, "
         "exit 2: timing regression or no baseline)",
+        parents=[history_option, json_option],
     )
     obs_bench_compare.add_argument(
         "--bench",
@@ -1315,17 +1354,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="gate this BENCH_*.json payload instead of the newest "
         "recorded entry (the file is not appended)",
     )
-    obs_bench_compare.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the RegressionReports as a JSON list",
-    )
-    _add_history_argument(obs_bench_compare)
     obs_bench_compare.set_defaults(handler=_cmd_obs_bench)
 
     obs_bench_trend = obs_bench_sub.add_parser(
         "trend",
         help="print each metric's history with changepoints marked",
+        parents=[history_option, json_option],
     )
     obs_bench_trend.add_argument(
         "--bench",
@@ -1345,12 +1379,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="print the README speedup table generated from the "
         "newest entries instead",
     )
-    obs_bench_trend.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the trend report as JSON",
-    )
-    _add_history_argument(obs_bench_trend)
     obs_bench_trend.set_defaults(handler=_cmd_obs_bench)
 
     obs_tail = obs_sub.add_parser(
@@ -1378,6 +1406,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     validate = subparsers.add_parser(
         "validate",
         help="cross-check redundant implementation pairs and invariants",
+        parents=[json_option],
     )
     validate.add_argument(
         "--quick",
@@ -1402,20 +1431,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="mutation smoke: perturb each implementation and assert "
         "the guarding check trips",
     )
-    validate.add_argument(
-        "--json-out",
-        default=None,
-        metavar="FILE",
-        help="also write the results as a JSON report",
-    )
     validate.set_defaults(handler=_cmd_validate)
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    # Usage rules argparse cannot state: exit 2 before any work starts.
+    check = getattr(args, "check", None)
+    problem = check(args) if check is not None else None
+    if problem:
+        parser.error(problem)
     from .obs.logging import configure_logging
 
     configure_logging(-1 if args.quiet else args.verbose)
-    if getattr(args, "platforms", None):
-        _check_platforms(parser, args.platforms)
     profile_path = getattr(args, "profile", None)
     if profile_path:
         from .obs.profiling import profiled

@@ -108,7 +108,6 @@ def simulate_workload(
     batch_size: int = 32,
     seed: int = 0,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, PlatformResult]:
     """Profile a model on a dataset and simulate all platforms.
 
@@ -118,15 +117,12 @@ def simulate_workload(
     chunks and runs them across worker processes (see
     :mod:`repro.perf.parallel`); cycle counts are unchanged, merged
     float accumulators may differ from serial at the ulp level.
-    ``backend`` is forwarded to :func:`simulate_traces`.
     """
     spec = RunSpec.make(model_name, dataset_name, num_pairs, batch_size, seed)
     if jobs is not None and jobs != 1:
         from ..perf.parallel import parallel_simulate_workload
 
-        return parallel_simulate_workload(
-            spec, platforms, workers=jobs, backend=backend
-        )
+        return parallel_simulate_workload(spec, platforms, workers=jobs)
     with span("profile", spec=spec.stem):
         pairs = load_dataset(
             spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs
@@ -134,7 +130,7 @@ def simulate_workload(
         input_dim = pairs[0].target.feature_dim
         model = build_model(spec.model, input_dim=input_dim, seed=spec.seed)
         batch_traces = profile_batches(model, pairs, batch_size=spec.batch_size)
-    return simulate_traces(batch_traces, platforms, backend=backend)
+    return simulate_traces(batch_traces, platforms)
 
 
 def compare_platforms(

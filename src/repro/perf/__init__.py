@@ -10,9 +10,9 @@ This package holds the infrastructure that makes the reproduction run
   harness invocations skip re-profiling entirely.
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor`` runner that
   fans (model, dataset) workloads and graph-pair chunks across cores.
-- :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
-  microbenchmark that records the scalar-vs-vectorized EMF and
-  serial-vs-optimized harness speedups.
+- :mod:`repro.perf.bench` — the microbenchmarks behind
+  ``python -m repro bench``, recording the scalar-vs-vectorized EMF,
+  serial-vs-optimized harness, and flat-vs-pipelined serving speedups.
 """
 
 from .timing import BenchReport

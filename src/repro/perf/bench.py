@@ -1,7 +1,8 @@
 """Microbenchmarks backing the repository's performance claims.
 
-Run as ``python -m repro.perf.bench`` (add ``--quick`` for a fast
-smoke-sized run). Two reports are written to the current directory:
+Run through ``python -m repro bench`` (add ``--quick`` for a fast
+smoke-sized run, ``--only NAME`` for one bench). Each function returns a
+report; the command writes them to the current directory:
 
 - ``BENCH_emf.json`` — scalar vs. vectorized EMF: raw XXH32 hashing of
   an (N, D) feature matrix, and the full filter (Algorithm 1). The two
@@ -18,31 +19,27 @@ smoke-sized run). Two reports are written to the current directory:
   latency recorded and served rankings checked bit-identical.
 
 Reports use the :class:`~repro.perf.timing.BenchReport` layout (schema
-v2: aggregates plus raw per-repeat samples). Every run is additionally
-appended to the append-only benchmark history store
+v2: aggregates plus raw per-repeat samples). ``repro bench`` also
+appends every run to the append-only benchmark history store
 (``results/obs/bench_history/``, see :mod:`repro.obs.history`) unless
-``--no-history`` / ``REPRO_BENCH_HISTORY=off`` — the history is what
-``repro obs bench compare|trend`` gate and chart, so the perf
+``--history-dir off`` / ``REPRO_BENCH_HISTORY=off`` — the history is
+what ``repro obs bench compare|trend`` gate and chart, so the perf
 trajectory survives the snapshot files being overwritten.
 """
 
 from __future__ import annotations
 
-import argparse
-import logging
 import os
-import sys
 import tempfile
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.logging import configure_logging
 from .parallel import available_workers, parallel_workload_results
 from .timing import BenchReport
 
-__all__ = ["bench_emf", "bench_harness", "bench_search", "main"]
+__all__ = ["bench_emf", "bench_harness", "bench_search"]
 
 
 def _sample_times(repeats: int, func) -> List[float]:
@@ -58,11 +55,6 @@ def _sample_times(repeats: int, func) -> List[float]:
         func()
         samples.append(time.perf_counter() - start)
     return samples
-
-
-def _best_of(repeats: int, func) -> float:
-    """Min wall-clock over ``repeats`` calls (classic timeit discipline)."""
-    return min(_sample_times(repeats, func))
 
 
 def _duplicated_features(
@@ -165,7 +157,7 @@ def bench_harness(
     quick: bool = False, workers: Optional[int] = None
 ) -> BenchReport:
     """Uncached serial harness vs. the cached (and parallel) harness."""
-    from ..core.api import simulate_traces, simulate_workload
+    from ..core.api import simulate_traces
     from ..platforms import DEFAULT_PLATFORMS, RunSpec
     from ..experiments.common import (
         QUICK_BATCH,
@@ -208,23 +200,20 @@ def bench_harness(
         # Baseline: every query re-profiles and re-simulates from
         # scratch on the per-pair "serial" engine backend (the
         # pre-caching, pre-batching behavior of one fresh process per
-        # figure).
+        # figure). With the disk cache off and the memos dropped before
+        # each query, traces_for profiles afresh every time.
         os.environ["REPRO_TRACE_CACHE"] = "off"
-        clear_workload_caches()
         start = time.perf_counter()
         for _ in range(queries):
-            baseline = {
-                (model, dataset): simulate_workload(
-                    model,
-                    dataset,
-                    platforms,
-                    num_pairs=QUICK_PAIRS,
-                    batch_size=QUICK_BATCH,
-                    seed=0,
-                    backend="serial",
+            baseline = {}
+            for model, dataset in workloads:
+                clear_workload_caches()
+                traces = traces_for(
+                    RunSpec.make(model, dataset, QUICK_PAIRS, QUICK_BATCH, 0)
                 )
-                for model, dataset in workloads
-            }
+                baseline[(model, dataset)] = simulate_traces(
+                    traces, platforms, backend="serial"
+                )
         record_once("serial_uncached", time.perf_counter() - start)
 
         def harness_pass():
@@ -508,109 +497,3 @@ def bench_search(
         "candidate_dedup_hits_per_pass": dedup_hits,
     }
     return report
-
-
-def _resolve_history(history_dir: Optional[str], disabled: bool):
-    """The BenchHistory to append runs to, or ``None`` when off.
-
-    Resolution order: ``--no-history`` > ``--history-dir`` > the
-    ``REPRO_BENCH_HISTORY`` env var > the default store location. The
-    value ``off`` (flag or env) disables recording.
-    """
-    if disabled:
-        return None
-    target = history_dir
-    if target is None:
-        target = os.environ.get("REPRO_BENCH_HISTORY")
-    if target is not None and target.strip().lower() == "off":
-        return None
-    from ..obs.history import BenchHistory
-
-    return BenchHistory(target)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.bench",
-        description="EMF and harness microbenchmarks (writes BENCH_*.json)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="smaller matrices and workloads"
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (min is kept)"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="harness worker processes"
-    )
-    parser.add_argument(
-        "--output-dir", default=".", help="where BENCH_*.json are written"
-    )
-    parser.add_argument(
-        "--only",
-        choices=("emf", "harness", "search"),
-        default=None,
-        help="run a single benchmark",
-    )
-    parser.add_argument(
-        "--history-dir",
-        default=None,
-        metavar="DIR",
-        help="bench history store to append each run to (default "
-        "results/obs/bench_history, or the REPRO_BENCH_HISTORY env "
-        "var; 'off' disables recording)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append this run to the bench history store",
-    )
-    args = parser.parse_args(argv)
-    # Bench results are the command's whole point: log them at INFO.
-    configure_logging(1)
-    logger = logging.getLogger("repro.perf.bench")
-
-    reports = []
-    if args.only in (None, "emf"):
-        reports.append(bench_emf(quick=args.quick, repeats=args.repeats))
-    if args.only in (None, "harness"):
-        reports.append(bench_harness(quick=args.quick, workers=args.workers))
-    if args.only in (None, "search"):
-        reports.append(
-            bench_search(
-                quick=args.quick, repeats=args.repeats, workers=args.workers
-            )
-        )
-
-    history = _resolve_history(args.history_dir, args.no_history)
-    failures = 0
-    for report in reports:
-        path = report.write(args.output_dir)
-        logger.info("wrote %s", path)
-        if history is not None:
-            # Appending happens after all timing is done, so history
-            # recording costs the benchmark nothing.
-            entry, appended = history.append(report.as_dict())
-            logger.info(
-                "%s history entry %s to %s",
-                "appended" if appended else "already recorded",
-                entry.entry_id,
-                history.path_for(entry.bench),
-            )
-        for label, value in report.speedups.items():
-            logger.info("  %s: %.2fx", label, value)
-        for label, value in report.checks.items():
-            logger.info("  check %s: %s", label, value)
-            # Boolean checks are equivalence assertions (batched vs
-            # serial, cached vs uncached); a False one fails the run so
-            # CI's bench smoke gates on them.
-            if value is False:
-                failures += 1
-    if failures:
-        logger.error("%d equivalence check(s) failed", failures)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    sys.exit(main())

@@ -240,14 +240,14 @@ def parallel_workload_results(
 
 
 def _chunk_task(
-    task: Tuple[dict, Tuple[str, ...], int, int, Tuple[bool, bool], Optional[str]]
+    task: Tuple[dict, Tuple[str, ...], int, int, Tuple[bool, bool]]
 ) -> Tuple[int, Dict, Optional[dict]]:
     """Worker body: profile+simulate one contiguous slice of the workload.
 
     The worker rebuilds the dataset and model from the spec — both are
     deterministic — instead of shipping graphs over the pipe.
     """
-    spec_payload, platforms, start, stop, telemetry, backend = task
+    spec_payload, platforms, start, stop, telemetry = task
     from ..core.api import simulate_traces
     from ..graphs.datasets import load_dataset
     from ..models import build_model
@@ -262,7 +262,7 @@ def _chunk_task(
         model, pairs[start:stop], batch_size=spec.batch_size
     )
     results, payload = _collected(
-        lambda: simulate_traces(traces, platforms, backend=backend), telemetry
+        lambda: simulate_traces(traces, platforms), telemetry
     )
     return start, results, payload
 
@@ -287,10 +287,7 @@ def _chunk_bounds(
 
 
 def _shm_chunk_task(
-    task: Tuple[
-        str, int, Tuple[str, ...], int, int, int, Tuple[bool, bool],
-        Optional[str],
-    ]
+    task: Tuple[str, int, Tuple[str, ...], int, int, int, Tuple[bool, bool]]
 ) -> Tuple[int, Dict, Optional[dict]]:
     """Worker body: simulate a batch-slice of shared-memory traces.
 
@@ -298,9 +295,7 @@ def _shm_chunk_task(
     zero-copy views over it, and simulates only this chunk's batches —
     pages belonging to other chunks are never touched.
     """
-    shm_name, size, platforms, start, stop, batch_size, telemetry, backend = (
-        task
-    )
+    shm_name, size, platforms, start, stop, batch_size, telemetry = task
     from multiprocessing import shared_memory
 
     from ..core.api import simulate_traces
@@ -317,8 +312,7 @@ def _shm_chunk_task(
         chunk = traces[lo:hi]
         traces = None
         results, payload = _collected(
-            lambda: simulate_traces(chunk, platforms, backend=backend),
-            telemetry,
+            lambda: simulate_traces(chunk, platforms), telemetry
         )
         return start, results, payload
     finally:
@@ -334,7 +328,6 @@ def parallel_simulate_workload(
     spec: RunSpec,
     platforms: Sequence[str],
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, "object"]:
     """:func:`repro.core.api.simulate_workload`, chunked across processes.
 
@@ -355,12 +348,12 @@ def parallel_simulate_workload(
     chunk_results = None
     if workers > 1 and len(bounds) > 1:
         chunk_results = _shm_map_chunks(
-            spec, tuple(platforms), bounds, workers, telemetry, backend
+            spec, tuple(platforms), bounds, workers, telemetry
         )
     if chunk_results is None:
         payload = spec.to_dict()
         tasks = [
-            (payload, tuple(platforms), start, stop, telemetry, backend)
+            (payload, tuple(platforms), start, stop, telemetry)
             for start, stop in bounds
         ]
         chunk_results = _map_tasks(_chunk_task, tasks, workers)
@@ -382,7 +375,6 @@ def _shm_map_chunks(
     bounds: List[Tuple[int, int]],
     workers: int,
     telemetry: Tuple[bool, bool],
-    backend: Optional[str] = None,
 ) -> Optional[List]:
     """Fan chunks out over a shared-memory trace segment.
 
@@ -425,7 +417,6 @@ def _shm_map_chunks(
                 stop,
                 spec.batch_size,
                 telemetry,
-                backend,
             )
             for start, stop in bounds
         ]

@@ -251,7 +251,6 @@ class SimilaritySearchIndex:
         platform: str = "CEGMA",
         sample_size: Optional[int] = None,
         batch_size: int = 8,
-        backend: Optional[str] = None,
     ) -> float:
         """Estimated seconds per candidate on the given platform.
 
@@ -263,18 +262,11 @@ class SimilaritySearchIndex:
         dense batch — database candidates cycled to fill ``batch_size``
         pairs when the database is smaller — so the extrapolated
         per-pair cost includes cross-pair batch amortization instead of
-        the old per-pair serial assumption. ``backend`` forwards to the
-        accelerator simulators like
-        :func:`repro.core.api.simulate_traces` (default: the
-        simulator's own default, ``"batched"``).
+        the old per-pair serial assumption.
         """
         simulator = REGISTRY.build(platform)  # KeyError lists known names
         if not self._graphs:
             raise ValueError("the index is empty")
-        if backend is not None and hasattr(simulator, "backend"):
-            from ..core.api import _validated_backend
-
-            simulator.backend = _validated_backend(backend)
         if sample_size is None:
             sample_size = batch_size
         sample = [

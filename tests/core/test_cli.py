@@ -104,9 +104,23 @@ class TestExperiments:
         assert main(["experiments", "table3"]) == 0
         assert "Table III" in capsys.readouterr().out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["experiments", "fig99"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "fig99" in err and "fig16" in err and "all" in err
+
+    def test_unknown_experiment_fails_before_prewarm(self, monkeypatch):
+        import repro.experiments.common as common
+
+        def prewarm(*args, **kwargs):
+            raise AssertionError("prewarm ran before the name check")
+
+        monkeypatch.setattr(common, "prewarm_workloads", prewarm)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "fig99", "--jobs", "2"])
+        assert exit_info.value.code == 2
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -155,6 +169,13 @@ class TestRenderSchedule:
 
 
 class TestDescribe:
+    def test_workload_or_input_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["describe"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--input" in err and "--model" in err and "--dataset" in err
+
     def test_profiled_workload(self, capsys):
         assert (
             main(
@@ -389,7 +410,42 @@ class TestServe:
         assert stamp["spec"] is not None
 
 
+class TestCountArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--model", "SimGNN", "--dataset", "AIDS", "--pairs", "0"],
+            ["profile", "--model", "SimGNN", "--dataset", "AIDS",
+             "--output", "t.npz", "--pairs", "0"],
+            ["describe", "--model", "SimGNN", "--dataset", "AIDS", "--pairs", "0"],
+            ["simulate", "--model", "SimGNN", "--dataset", "AIDS", "--batch", "0"],
+            ["serve", "--top-k", "0"],
+            ["serve", "--queries", "0"],
+            ["serve", "--database", "0"],
+        ],
+    )
+    def test_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_missing_workload_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--model", "SimGNN"])
+        assert exit_info.value.code == 2
+        assert "required: --dataset" in capsys.readouterr().err
+
+
 class TestServeTelemetry:
+    def test_window_log_needs_window_seconds(self, tmp_path, capsys):
+        log = tmp_path / "windows.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--quick", "--window-log", str(log)])
+        assert exit_info.value.code == 2
+        assert "--window-seconds" in capsys.readouterr().err
+        assert not log.exists()
+
     def test_request_trace_prints_slowest_tree(self, capsys):
         assert main(["serve", "--quick", "--request-trace"]) == 0
         out = capsys.readouterr().out

@@ -377,32 +377,57 @@ class TestObsTailEmptyLog:
 
 
 class TestBenchForwarding:
-    def test_search_choice_and_history_flags_forwarded(self, monkeypatch):
-        captured = {}
-
-        def fake_main(argv):
-            captured["argv"] = list(argv)
-            return 0
-
+    def test_search_choice_and_history_flags_forwarded(
+        self, tmp_path, monkeypatch
+    ):
         import repro.perf.bench as bench_module
+        from repro.obs.history import BenchHistory
+        from repro.perf.timing import BenchReport
 
-        monkeypatch.setattr(bench_module, "main", fake_main)
+        calls = []
+
+        def fake(name):
+            def run(**kwargs):
+                calls.append((name, kwargs))
+                report = BenchReport(name)
+                report.add_timing("run", 0.1, samples=[0.1])
+                report.checks["ok"] = True
+                return report
+
+            return run
+
+        for name in ("emf", "harness", "search"):
+            monkeypatch.setattr(bench_module, f"bench_{name}", fake(name))
         status = main(
             [
                 "bench",
                 "--quick",
                 "--only",
                 "search",
+                "--workers",
+                "1",
                 "--history-dir",
                 "hist",
-                "--no-history",
             ]
         )
         assert status == 0
-        argv = captured["argv"]
-        assert ["--only", "search"] == argv[1:3] or "search" in argv
-        assert "--history-dir" in argv and "hist" in argv
-        assert "--no-history" in argv
+        assert calls == [
+            ("search", {"quick": True, "repeats": 3, "workers": 1})
+        ]
+        assert (tmp_path / "BENCH_search.json").exists()
+        assert BenchHistory(tmp_path / "hist").benches() == ["search"]
+
+    def test_false_check_exits_1(self, monkeypatch):
+        import repro.perf.bench as bench_module
+        from repro.perf.timing import BenchReport
+
+        def failing(**kwargs):
+            report = BenchReport("emf")
+            report.checks["tags_identical"] = False
+            return report
+
+        monkeypatch.setattr(bench_module, "bench_emf", failing)
+        assert main(["bench", "--only", "emf", "--history-dir", "off"]) == 1
 
 
 def _run_report_file(tmp_path, stem, macs=100.0, simulate_s=1.0):

@@ -88,14 +88,16 @@ class TestBenchHarness:
 
 
 class TestBenchHistoryIntegration:
-    def test_main_appends_history_entry(self, tmp_path, monkeypatch):
-        from repro.obs.history import BenchHistory
-        from repro.perf.bench import main
+    """``repro bench`` appends to the history it resolves from
+    ``--history-dir``, then ``REPRO_BENCH_HISTORY``, then the default."""
 
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        history_dir = tmp_path / "hist"
-        status = main(
+    @staticmethod
+    def _bench(tmp_path, *extra):
+        from repro.__main__ import main
+
+        return main(
             [
+                "bench",
                 "--quick",
                 "--only",
                 "emf",
@@ -103,45 +105,57 @@ class TestBenchHistoryIntegration:
                 "1",
                 "--output-dir",
                 str(tmp_path),
-                "--history-dir",
-                str(history_dir),
+                *extra,
             ]
         )
-        assert status == 0
+
+    @staticmethod
+    def _fake_emf(monkeypatch):
+        import repro.perf.bench as bench_module
+
+        def fake_emf(quick, repeats):
+            report = BenchReport("emf")
+            report.add_timing("scalar", 0.2, samples=[0.2])
+            report.add_timing("vectorized", 0.1, samples=[0.1])
+            report.repeats = repeats
+            report.checks["tags_identical"] = True
+            return report
+
+        monkeypatch.setattr(bench_module, "bench_emf", fake_emf)
+
+    def test_main_appends_history_entry(self, tmp_path, monkeypatch):
+        from repro.obs.history import BenchHistory
+
+        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
+        history_dir = tmp_path / "hist"
+        assert self._bench(tmp_path, "--history-dir", str(history_dir)) == 0
         history = BenchHistory(history_dir)
         entries = history.read("emf")
         assert len(entries) == 1
         assert entries[0].samples  # raw repeats retained
         assert entries[0].repeats == 1
 
-    def test_no_history_flag_disables_recording(self, tmp_path, monkeypatch):
-        from repro.perf.bench import main
-
+    def test_history_dir_off_beats_env(self, tmp_path, monkeypatch):
+        self._fake_emf(monkeypatch)
         monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "envhist"))
-        status = main(
-            [
-                "--quick",
-                "--only",
-                "emf",
-                "--repeats",
-                "1",
-                "--output-dir",
-                str(tmp_path),
-                "--no-history",
-            ]
-        )
-        assert status == 0
+        assert self._bench(tmp_path, "--history-dir", "off") == 0
+        assert (tmp_path / "BENCH_emf.json").exists()
         assert not (tmp_path / "envhist").exists()
 
     def test_env_off_disables_recording(self, tmp_path, monkeypatch):
-        from repro.perf.bench import _resolve_history
+        from repro.obs.history import BenchHistory
 
+        self._fake_emf(monkeypatch)
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_BENCH_HISTORY", "off")
-        assert _resolve_history(None, False) is None
+        assert self._bench(tmp_path) == 0
+        assert not (tmp_path / "results").exists()
+        # The env var relocates the store...
         monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "h"))
-        history = _resolve_history(None, False)
-        assert history is not None
-        assert str(history.root) == str(tmp_path / "h")
-        # --history-dir wins over the env var.
-        history = _resolve_history(str(tmp_path / "cli"), False)
-        assert str(history.root) == str(tmp_path / "cli")
+        assert self._bench(tmp_path) == 0
+        assert len(BenchHistory(tmp_path / "h").read("emf")) == 1
+        # ...and --history-dir wins over it.
+        cli_dir = str(tmp_path / "cli")
+        assert self._bench(tmp_path, "--history-dir", cli_dir) == 0
+        assert len(BenchHistory(tmp_path / "cli").read("emf")) == 1
+        assert len(BenchHistory(tmp_path / "h").read("emf")) == 1

@@ -279,24 +279,6 @@ class TestBatchedEstimates:
         ratio = estimate / measured.latency_seconds
         assert 0.5 <= ratio <= 2.0, ratio
 
-    def test_backend_forwarded_to_simulator(
-        self, small_index, small_database
-    ):
-        batched = small_index.estimate_pair_latency(
-            small_database[0], "CEGMA", backend="batched"
-        )
-        serial = small_index.estimate_pair_latency(
-            small_database[0], "CEGMA", backend="serial"
-        )
-        # Both run; cycle counts agree between backends by construction.
-        assert batched == pytest.approx(serial)
-
-    def test_unknown_backend_rejected(self, small_index, small_database):
-        with pytest.raises(ValueError, match="backend"):
-            small_index.estimate_pair_latency(
-                small_database[0], "CEGMA", backend="quantum"
-            )
-
     def test_empty_index_estimate_rejected(self, small_database):
         model = build_model(
             "GMN-Li", input_dim=small_database[0].feature_dim
