@@ -8,8 +8,10 @@ This package holds the infrastructure that makes the reproduction run
 - :mod:`repro.perf.trace_cache` — a persistent on-disk workload-trace
   cache (keyed by model/dataset/seed/pair-count/batch) so repeated
   harness invocations skip re-profiling entirely.
-- :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor`` runner that
-  fans (model, dataset) workloads and graph-pair chunks across cores.
+- :mod:`repro.perf.parallel` — the one worker transport: a
+  ``ProcessPoolExecutor`` map with serial fallback and worker
+  telemetry, plus its shared-memory wrapper, used to fan workloads,
+  graph-pair chunks and serving shards across cores.
 - :mod:`repro.perf.bench` — the microbenchmarks behind
   ``python -m repro bench``, recording the scalar-vs-vectorized EMF,
   serial-vs-optimized harness, and flat-vs-pipelined serving speedups.
@@ -20,7 +22,6 @@ from .trace_cache import TraceCache, default_trace_cache
 from .parallel import (
     available_workers,
     parallel_simulate_workload,
-    parallel_workload_results,
 )
 
 __all__ = [
@@ -29,5 +30,4 @@ __all__ = [
     "default_trace_cache",
     "available_workers",
     "parallel_simulate_workload",
-    "parallel_workload_results",
 ]

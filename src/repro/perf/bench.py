@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .parallel import available_workers, parallel_workload_results
+from .parallel import available_workers, parallel_run_specs
 from .timing import BenchReport
 
 __all__ = ["bench_emf", "bench_harness", "bench_search"]
@@ -167,6 +167,12 @@ def bench_harness(
     )
 
     workloads = _quick_workloads(quick)
+    specs = {
+        (model, dataset): RunSpec.make(
+            model, dataset, QUICK_PAIRS, QUICK_BATCH, 0
+        )
+        for model, dataset in workloads
+    }
     platforms = DEFAULT_PLATFORMS
     workers = available_workers(workers)
     # The figure experiments (fig16/17/19/21/24 plus the ablations) each
@@ -206,13 +212,10 @@ def bench_harness(
         start = time.perf_counter()
         for _ in range(queries):
             baseline = {}
-            for model, dataset in workloads:
+            for workload, spec in specs.items():
                 clear_workload_caches()
-                traces = traces_for(
-                    RunSpec.make(model, dataset, QUICK_PAIRS, QUICK_BATCH, 0)
-                )
-                baseline[(model, dataset)] = simulate_traces(
-                    traces, platforms, backend="serial"
+                baseline[workload] = simulate_traces(
+                    traces_for(spec), platforms, backend="serial"
                 )
         record_once("serial_uncached", time.perf_counter() - start)
 
@@ -220,15 +223,12 @@ def bench_harness(
             """One harness invocation: the same query stream, served by
             the memoized + disk-cached + parallel-capable runner."""
             for _ in range(queries):
-                results = parallel_workload_results(
-                    workloads,
-                    platforms,
-                    num_pairs=QUICK_PAIRS,
-                    batch_size=QUICK_BATCH,
-                    seed=0,
-                    workers=workers,
+                computed = parallel_run_specs(
+                    list(specs.values()), platforms, workers
                 )
-            return results
+            return {
+                workload: computed[spec] for workload, spec in specs.items()
+            }
 
         with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache:
             os.environ["REPRO_TRACE_CACHE"] = cache
@@ -258,15 +258,8 @@ def bench_harness(
             for backend in ("serial", "batched"):
                 clear_workload_caches()
                 per_spec = [
-                    (
-                        (model, dataset),
-                        traces_for(
-                            RunSpec.make(
-                                model, dataset, QUICK_PAIRS, QUICK_BATCH, 0
-                            )
-                        ),
-                    )
-                    for model, dataset in workloads
+                    (workload, traces_for(spec))
+                    for workload, spec in specs.items()
                 ]
                 start = time.perf_counter()
                 backend_results[backend] = {

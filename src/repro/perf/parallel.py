@@ -1,29 +1,34 @@
-"""Process-pool fan-out for the experiment harness.
+"""Process-pool fan-out: the one worker transport.
 
-Two grains of parallelism, matching how the harness spends its time:
+Every multi-process path in the repo — the experiment harness and the
+serving executor alike — runs on two building blocks:
 
-- :func:`parallel_run_specs` (and its ``(model, dataset)``-keyed wrapper
-  :func:`parallel_workload_results`) fans whole workloads — the unit the
-  experiment runners iterate over — across a ``ProcessPoolExecutor``.
-  Workloads are independent (each rebuilds its dataset and model
-  deterministically from the seed), so this is embarrassingly parallel.
+- :func:`parallel_map` runs tasks on a ``ProcessPoolExecutor`` and
+  returns their results in task order, with a complete serial fallback.
+  It also carries worker telemetry: when the parent collects metrics or
+  spans, each task runs under a private registry and tracer whose
+  contents ship back over the pipe and merge at join, every span
+  keeping its worker ``pid``.
+- :func:`shared_memory_map` wraps it for tasks that read one large
+  read-only image (an uncompressed ``.npz``). The image is published
+  once into a ``multiprocessing`` shared-memory segment, each task gets
+  a zero-copy view of it, and the segment is closed and unlinked in one
+  place. When no segment can be created it returns ``None`` and the
+  caller does the work in-process.
+
+The harness entry points are thin callers of the two:
+
+- :func:`parallel_run_specs` fans whole workloads across the pool.
+  Workloads cross the process boundary as serialized
+  :class:`~repro.platforms.runspec.RunSpec` payloads — the same
+  canonical key the memo and disk caches use — so the transport can
+  never drift from the cache keys.
 - :func:`parallel_simulate_workload` splits ONE workload's graph pairs
-  into contiguous chunks at batch-size boundaries and simulates the
-  chunks concurrently, merging the per-platform results in chunk order.
-
-Workloads cross the process boundary as serialized
-:class:`~repro.platforms.runspec.RunSpec` payloads — the same canonical
-key the memo and disk caches use — so the worker transport can never
-drift from the cache keys.
-
-Chunk workers receive their traces through a *shared-memory segment*:
-the parent profiles the workload once (through the cached
-``traces_for`` path), publishes the uncompressed ``.npz`` image into a
-``multiprocessing.shared_memory`` block, and each worker attaches and
-rebuilds its chunk as zero-copy views — no per-worker re-profiling, no
-pickled trace arrays over the pipe, and feature pages are shared
-physical memory across all workers. Hosts without shared memory fall
-back to the original rebuild-from-spec workers transparently.
+  into contiguous chunks at batch-size boundaries. The parent profiles
+  the workload once (through the cached ``traces_for`` path) and
+  publishes the trace image; each worker rebuilds the traces as
+  zero-copy views and simulates only its chunk's batches. Without a
+  segment the parent simulates the same chunks in-process.
 
 Chunking at multiples of ``batch_size`` keeps batch boundaries — and
 therefore every simulated cycle count — identical to a serial run.
@@ -42,115 +47,49 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import ExitStack
+from functools import partial
+from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry, get_metrics, metrics_enabled
-from ..obs.tracing import Tracer, get_tracer, tracing_enabled
+from ..obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from ..obs.tracing import Tracer, get_tracer, set_tracer
 from ..platforms.runspec import RunSpec
 
 __all__ = [
     "available_workers",
+    "parallel_map",
+    "shared_memory_map",
     "parallel_run_specs",
-    "parallel_workload_results",
     "parallel_simulate_workload",
 ]
 
-# _collected / _telemetry_payload / _merge_worker_telemetry are the
-# worker transport contract shared with repro.search.executor: a task
-# carries (metrics, trace) flags, the worker records into a private
-# registry and tracer, ships {"metrics": registry.as_dict(), "spans":
-# tracer.events} back over the pipe, and the parent merges at join.
-
 logger = logging.getLogger("repro.perf.parallel")
+
+#: ``tracer=`` default of the maps: fold worker spans into the tracer
+#: that is active when the map is called.
+_ACTIVE_TRACER = object()
 
 
 def available_workers(requested: Optional[int] = None) -> int:
-    """Clamp a worker request to the machine's CPU count (min 1)."""
-    cores = os.cpu_count() or 1
+    """Clamp a worker request to the CPUs this process may run on (min 1).
+
+    Counts the process's CPU affinity mask where the platform has one,
+    so a pinned process (``taskset``, a container cpuset) does not
+    oversubscribe the CPUs it actually gets.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - macOS and Windows have no affinity call
+        cores = os.cpu_count() or 1
     if requested is None:
         return cores
     return max(1, min(requested, cores))
 
 
-def _map_tasks(
-    task_fn: Callable,
-    tasks: Sequence[Tuple],
-    workers: int,
-) -> List:
-    """``pool.map`` with a complete serial fallback.
-
-    Two failure shapes degrade to in-process execution of the *entire*
-    task list, so the caller always receives one result per task and the
-    merged metrics registry stays complete:
-
-    - the pool never starts (``OSError``/``PermissionError``: sandboxes
-      without /dev/shm, fork limits), and
-    - a worker dies mid-task (``BrokenExecutor``: OOM-killed child,
-      hard crash), which ``pool.map`` surfaces after partial progress.
-
-    Worker deaths are counted as ``perf.parallel.worker_failures`` on
-    the active registry so regression tooling can see that a run fell
-    back, instead of the failure vanishing into identical results.
-    """
-    if workers > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(task_fn, tasks))
-        except (OSError, PermissionError, BrokenExecutor) as exc:
-            registry = get_metrics()
-            if registry is not None:
-                registry.inc(
-                    "perf.parallel.worker_failures",
-                    kind=type(exc).__name__,
-                )
-            logger.warning(
-                "process pool failed (%s: %s); re-running %d task(s) serially",
-                type(exc).__name__,
-                exc,
-                len(tasks),
-            )
-    return [task_fn(task) for task in tasks]
-
-
 # ----------------------------------------------------------------------
-# Grain 1: one task per workload spec.
-
-
-def _telemetry_flags() -> Tuple[bool, bool]:
-    """``(metrics, trace)``: what the parent is collecting right now."""
-    return get_metrics() is not None, get_tracer() is not None
-
-
-def _collected(fn: Callable, telemetry: Tuple[bool, bool]):
-    """Run ``fn()`` under a private registry and/or tracer.
-
-    Returns ``(result, payload)``; the payload is ``None`` when the
-    parent collects nothing. Metric merge is commutative and
-    associative, so fan-out does not change the totals.
-    """
-    metrics, trace = telemetry
-    if not (metrics or trace):
-        return fn(), None
-    with ExitStack() as stack:
-        registry = stack.enter_context(metrics_enabled()) if metrics else None
-        tracer = stack.enter_context(tracing_enabled()) if trace else None
-        result = fn()
-    return result, _telemetry_payload(registry, tracer)
-
-
-def _spec_task(
-    task: Tuple[dict, Tuple[str, ...], Tuple[bool, bool]]
-) -> Tuple[dict, Dict, Optional[dict]]:
-    """Worker body: simulate one workload via the shared cached path."""
-    spec_payload, platforms, telemetry = task
-    from ..experiments.common import results_for
-
-    spec = RunSpec.from_dict(spec_payload)
-    results, payload = _collected(
-        lambda: results_for(spec, platforms), telemetry
-    )
-    return spec_payload, results, payload
+# Worker telemetry: a task records into a private registry and tracer,
+# ships {"metrics": registry.as_dict(), "spans": tracer.events} back
+# over the pipe, and the parent merges at join.
 
 
 def _telemetry_payload(
@@ -184,6 +123,168 @@ def _merge_worker_telemetry(
         tracer.add_events(payload.get("spans", ()))
 
 
+def _collected(task_fn: Callable, telemetry: Tuple[bool, bool], task):
+    """Run ``task_fn(task)`` under a private registry and tracer.
+
+    ``telemetry`` is the parent's ``(metrics, trace)`` pair. A flag
+    that is off leaves no registry (or tracer) active, masking whatever
+    the process inherited, so a task records exactly what its parent
+    collects. Returns ``(result, payload)``; the payload is ``None``
+    when the parent collects nothing. Metric merge is commutative and
+    associative, so fan-out does not change the totals.
+    """
+    metrics, trace = telemetry
+    registry = MetricsRegistry() if metrics else None
+    tracer = Tracer() if trace else None
+    previous_registry = set_metrics(registry)
+    previous_tracer = set_tracer(tracer)
+    try:
+        result = task_fn(task)
+    finally:
+        set_metrics(previous_registry)
+        set_tracer(previous_tracer)
+    if not (metrics or trace):
+        return result, None
+    return result, _telemetry_payload(registry, tracer)
+
+
+# ----------------------------------------------------------------------
+# The two maps.
+
+
+def parallel_map(
+    task_fn: Callable,
+    tasks: Sequence,
+    workers: int,
+    *,
+    tracer=_ACTIVE_TRACER,
+) -> List:
+    """``[task_fn(task) for task in tasks]``, fanned across processes.
+
+    ``task_fn`` must be picklable (a module-level function) and returns
+    a plain result; results come back in task order. Metrics are
+    collected when a registry is active, spans when ``tracer`` is set —
+    by default the active tracer; a caller that keeps its own (the
+    serving executor) passes it, or ``None`` for no spans. Worker
+    metrics merge into the active registry and worker spans into
+    ``tracer``.
+
+    Two failure shapes degrade to in-process execution of the *entire*
+    task list, so the caller always receives one result per task and the
+    merged metrics registry stays complete:
+
+    - the pool never starts (``OSError``/``PermissionError``: sandboxes
+      without /dev/shm, fork limits), and
+    - a worker dies mid-task (``BrokenExecutor``: OOM-killed child,
+      hard crash), which ``pool.map`` surfaces after partial progress.
+
+    Failures are counted as ``perf.parallel.worker_failures`` on the
+    active registry so regression tooling can see that a run fell back,
+    instead of the failure vanishing into identical results.
+    """
+    if tracer is _ACTIVE_TRACER:
+        tracer = get_tracer()
+    runner = partial(
+        _collected, task_fn, (get_metrics() is not None, tracer is not None)
+    )
+    raw = None
+    if workers > 1 and len(tasks) > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                raw = list(pool.map(runner, tasks))
+        except (OSError, BrokenExecutor) as exc:
+            registry = get_metrics()
+            if registry is not None:
+                registry.inc(
+                    "perf.parallel.worker_failures",
+                    kind=type(exc).__name__,
+                )
+            logger.warning(
+                "process pool failed (%s: %s); re-running %d task(s) serially",
+                type(exc).__name__,
+                exc,
+                len(tasks),
+            )
+    if raw is None:
+        raw = [runner(task) for task in tasks]
+    for _, payload in raw:
+        _merge_worker_telemetry(payload, tracer)
+    return [result for result, _ in raw]
+
+
+def _attached(name: str, size: int, task_fn: Callable, task):
+    """Worker side of :func:`shared_memory_map`: attach, run, detach."""
+    segment = shared_memory.SharedMemory(name=name)
+    try:
+        return task_fn(segment.buf[:size], task)
+    finally:
+        try:
+            segment.close()
+        except BufferError:  # pragma: no cover - views still referenced
+            pass  # process exit unmaps; the parent unlinks
+
+
+def shared_memory_map(
+    task_fn: Callable,
+    image: bytes,
+    tasks: Sequence,
+    workers: int,
+    *,
+    failure_counter: str,
+    fallback: str,
+    tracer=_ACTIVE_TRACER,
+) -> Optional[List]:
+    """:func:`parallel_map` over a read-only image in shared memory.
+
+    Each task runs as ``task_fn(view, task)``, where ``view`` is a
+    zero-copy view of ``image`` attached in the worker and sliced to the
+    image length (segments round up to a page). With its worker side,
+    this is the only code that creates, attaches, closes or unlinks a
+    segment.
+
+    Returns ``None`` when the segment cannot be created (no /dev/shm,
+    exhausted shared memory): the failure is counted as
+    ``failure_counter{kind=...}`` on the active registry and logged with
+    ``fallback``, the caller's description of what it does instead.
+    """
+    try:
+        segment = shared_memory.SharedMemory(create=True, size=len(image))
+    except (OSError, ValueError) as exc:
+        registry = get_metrics()
+        if registry is not None:
+            registry.inc(failure_counter, kind=type(exc).__name__)
+        logger.warning(
+            "shared-memory segment unavailable (%s: %s); %s",
+            type(exc).__name__,
+            exc,
+            fallback,
+        )
+        return None
+    try:
+        segment.buf[: len(image)] = image
+        return parallel_map(
+            partial(_attached, segment.name, len(image), task_fn),
+            tasks,
+            workers,
+            tracer=tracer,
+        )
+    finally:
+        segment.close()
+        segment.unlink()
+
+
+# ----------------------------------------------------------------------
+# Grain 1: one task per workload spec.
+
+
+def _spec_task(task: Tuple[dict, Tuple[str, ...]]) -> Dict:
+    """Worker body: simulate one workload via the shared cached path."""
+    spec_payload, platforms = task
+    from ..experiments.common import results_for
+
+    return results_for(RunSpec.from_dict(spec_payload), platforms)
+
+
 def parallel_run_specs(
     specs: Sequence[RunSpec],
     platforms: Sequence[str],
@@ -197,74 +298,16 @@ def parallel_run_specs(
     an active metrics registry or tracer, each worker collects its own
     and the parent merges them at join.
     """
-    registry = get_metrics()
-    telemetry = _telemetry_flags()
-    tasks = [(spec.to_dict(), tuple(platforms), telemetry) for spec in specs]
     workers = available_workers(workers)
+    registry = get_metrics()
     if registry is not None:
         registry.set_gauge("perf.parallel.workers", workers)
-    raw = _map_tasks(_spec_task, tasks, workers)
-    for _, _, metrics_payload in raw:
-        _merge_worker_telemetry(metrics_payload)
-    return {
-        RunSpec.from_dict(payload): results for payload, results, _ in raw
-    }
-
-
-def parallel_workload_results(
-    workloads: Sequence[Tuple[str, str]],
-    platforms: Sequence[str],
-    num_pairs: int,
-    batch_size: int,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> Dict[Tuple[str, str], Dict]:
-    """:func:`parallel_run_specs` keyed by ``(model, dataset)`` pairs.
-
-    Convenience wrapper for callers that sweep a model/dataset grid at
-    one uniform workload size.
-    """
-    specs = [
-        RunSpec.make(model, dataset, num_pairs, batch_size, seed)
-        for model, dataset in workloads
-    ]
-    computed = parallel_run_specs(specs, platforms, workers)
-    return {
-        (spec.model, spec.dataset): results
-        for spec, results in computed.items()
-    }
+    tasks = [(spec.to_dict(), tuple(platforms)) for spec in specs]
+    return dict(zip(specs, parallel_map(_spec_task, tasks, workers)))
 
 
 # ----------------------------------------------------------------------
 # Grain 2: one task per graph-pair chunk within a single workload.
-
-
-def _chunk_task(
-    task: Tuple[dict, Tuple[str, ...], int, int, Tuple[bool, bool]]
-) -> Tuple[int, Dict, Optional[dict]]:
-    """Worker body: profile+simulate one contiguous slice of the workload.
-
-    The worker rebuilds the dataset and model from the spec — both are
-    deterministic — instead of shipping graphs over the pipe.
-    """
-    spec_payload, platforms, start, stop, telemetry = task
-    from ..core.api import simulate_traces
-    from ..graphs.datasets import load_dataset
-    from ..models import build_model
-    from ..trace.profiler import profile_batches
-
-    spec = RunSpec.from_dict(spec_payload)
-    pairs = load_dataset(spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs)
-    model = build_model(
-        spec.model, input_dim=pairs[0].target.feature_dim, seed=spec.seed
-    )
-    traces = profile_batches(
-        model, pairs[start:stop], batch_size=spec.batch_size
-    )
-    results, payload = _collected(
-        lambda: simulate_traces(traces, platforms), telemetry
-    )
-    return start, results, payload
 
 
 def _chunk_bounds(
@@ -286,42 +329,17 @@ def _chunk_bounds(
     ]
 
 
-def _shm_chunk_task(
-    task: Tuple[str, int, Tuple[str, ...], int, int, int, Tuple[bool, bool]]
-) -> Tuple[int, Dict, Optional[dict]]:
-    """Worker body: simulate a batch-slice of shared-memory traces.
+def _simulate_chunk(view, task: Tuple[Tuple[str, ...], int, int]) -> Dict:
+    """Worker body: simulate batches ``[lo, hi)`` of the shared traces.
 
-    Attaches the parent's shared-memory segment, rebuilds the traces as
-    zero-copy views over it, and simulates only this chunk's batches —
-    pages belonging to other chunks are never touched.
+    The traces are rebuilt as zero-copy views over ``view``; pages
+    belonging to other chunks are never touched.
     """
-    shm_name, size, platforms, start, stop, batch_size, telemetry = task
-    from multiprocessing import shared_memory
-
+    platforms, lo, hi = task
     from ..core.api import simulate_traces
     from ..trace.io import traces_from_buffer
 
-    shm = shared_memory.SharedMemory(name=shm_name)
-    view = None
-    chunk = None
-    try:
-        view = shm.buf[:size]
-        traces = traces_from_buffer(view)
-        lo = start // batch_size
-        hi = -(-stop // batch_size)
-        chunk = traces[lo:hi]
-        traces = None
-        results, payload = _collected(
-            lambda: simulate_traces(chunk, platforms), telemetry
-        )
-        return start, results, payload
-    finally:
-        chunk = None
-        view = None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still referenced
-            pass  # process exit unmaps; the parent unlinks
+    return simulate_traces(traces_from_buffer(view)[lo:hi], platforms)
 
 
 def parallel_simulate_workload(
@@ -332,11 +350,15 @@ def parallel_simulate_workload(
     """:func:`repro.core.api.simulate_workload`, chunked across processes.
 
     Returns ``{platform: PlatformResult}`` with per-chunk results merged
-    in chunk order, so repeated runs are deterministic. Traces travel to
-    the workers through shared memory (profiled once in the parent);
-    when the host cannot allocate a segment, workers rebuild their slice
-    from the spec instead.
+    in chunk order, so repeated runs are deterministic. The parent
+    profiles once and the traces travel to the workers through shared
+    memory; with one chunk, or when the host cannot allocate a segment,
+    the parent simulates the same chunks in-process instead.
     """
+    from ..core.api import simulate_traces
+    from ..experiments.common import traces_for
+    from ..trace.io import traces_to_npz_bytes
+
     workers = available_workers(workers)
     registry = get_metrics()
     if registry is not None:
@@ -344,83 +366,31 @@ def parallel_simulate_workload(
     bounds = _chunk_bounds(spec.num_pairs, spec.batch_size, workers)
     if not bounds:
         return {}
-    telemetry = _telemetry_flags()
+    traces = traces_for(spec)
+    batch = spec.batch_size
+    tasks = [
+        (tuple(platforms), start // batch, -(-stop // batch))
+        for start, stop in bounds
+    ]
     chunk_results = None
-    if workers > 1 and len(bounds) > 1:
-        chunk_results = _shm_map_chunks(
-            spec, tuple(platforms), bounds, workers, telemetry
+    if workers > 1 and len(tasks) > 1:
+        chunk_results = shared_memory_map(
+            _simulate_chunk,
+            traces_to_npz_bytes(traces),
+            tasks,
+            workers,
+            failure_counter="perf.parallel.shm_failures",
+            fallback="simulating the chunks in-process",
         )
     if chunk_results is None:
-        payload = spec.to_dict()
-        tasks = [
-            (payload, tuple(platforms), start, stop, telemetry)
-            for start, stop in bounds
+        chunk_results = [
+            simulate_traces(traces[lo:hi], platforms) for _, lo, hi in tasks
         ]
-        chunk_results = _map_tasks(_chunk_task, tasks, workers)
-    chunk_results.sort(key=lambda item: item[0])
     merged: Dict[str, "object"] = {}
-    for _, results, metrics_payload in chunk_results:
-        _merge_worker_telemetry(metrics_payload)
+    for results in chunk_results:
         for platform, result in results.items():
             if platform in merged:
                 merged[platform].merge(result)
             else:
                 merged[platform] = result
     return merged
-
-
-def _shm_map_chunks(
-    spec: RunSpec,
-    platforms: Tuple[str, ...],
-    bounds: List[Tuple[int, int]],
-    workers: int,
-    telemetry: Tuple[bool, bool],
-) -> Optional[List]:
-    """Fan chunks out over a shared-memory trace segment.
-
-    Returns None when the segment cannot be created (no /dev/shm,
-    exhausted shared memory) so the caller can fall back to
-    rebuild-from-spec workers.
-    """
-    from ..experiments.common import traces_for
-    from ..trace.io import traces_to_npz_bytes
-
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - stdlib always has it
-        return None
-    traces = traces_for(spec)
-    image = traces_to_npz_bytes(traces)
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=len(image))
-    except (OSError, PermissionError, ValueError) as exc:
-        registry = get_metrics()
-        if registry is not None:
-            registry.inc(
-                "perf.parallel.shm_failures", kind=type(exc).__name__
-            )
-        logger.warning(
-            "shared-memory segment unavailable (%s: %s); workers will "
-            "rebuild traces from the spec",
-            type(exc).__name__,
-            exc,
-        )
-        return None
-    try:
-        segment.buf[: len(image)] = image
-        tasks = [
-            (
-                segment.name,
-                len(image),
-                platforms,
-                start,
-                stop,
-                spec.batch_size,
-                telemetry,
-            )
-            for start, stop in bounds
-        ]
-        return _map_tasks(_shm_chunk_task, tasks, workers)
-    finally:
-        segment.close()
-        segment.unlink()

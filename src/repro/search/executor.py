@@ -17,12 +17,15 @@ Two executions of the same plan:
   (the EMF dedup-and-broadcast move at database granularity; exact by
   construction, so rankings cannot change).
 - **Sharded workers** (multi-core hosts): shards fan across the
-  ``perf.parallel`` process pool. The database travels once as an
-  uncompressed ``.npz`` image in a shared-memory segment; each worker
-  attaches, rebuilds only its shard, dedups within it, and returns raw
-  score vectors for the parent to rank and merge. Any pool or
-  shared-memory failure falls back to the serial path transparently
-  (same ``_map_tasks`` contract as the simulation harness).
+  process pool through :func:`repro.perf.parallel.shared_memory_map`,
+  the transport the simulation harness uses too. The database travels
+  once as an uncompressed ``.npz`` image in a shared-memory segment;
+  each worker reads only its shard's arrays as zero-copy views
+  (:class:`~repro.trace.io.MmapNpzReader`), dedups within the shard,
+  and returns raw score vectors for the parent to rank and merge. A
+  pool that fails to start or loses a worker re-runs the shard tasks
+  in-process; a segment that cannot be created falls back to the
+  serial path, counted as ``search.serve.shm_failures``.
 
 With a :class:`~repro.obs.tracing.Tracer`, the executor records each
 batch's ``pending`` / ``execute`` / ``rank`` stage spans once, tagged
@@ -31,14 +34,13 @@ group per shard (parent ``execute``), tagged with the group's member
 ids, so dedup followers share the primary's shard detail without
 copies. The request ids cross the worker boundary as plain integers in
 the task tuple; workers record their shard spans (and the
-``search.serve.shard_seconds`` histogram) into a private tracer and
-registry, which ship back in the telemetry payload and fold into the
+``search.serve.shard_seconds`` histogram) into the private tracer and
+registry ``perf.parallel`` gives each task, which fold into the
 executor's tracer at join.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,20 +52,14 @@ from ..models.base import GMNModel
 from ..models.training import LogisticHead
 from ..obs import LATENCY_BUCKETS, get_metrics, get_tracer
 from ..obs.tracing import Tracer
-from ..perf.parallel import (
-    _collected,
-    _map_tasks,
-    _merge_worker_telemetry,
-    available_workers,
-)
+from ..perf.parallel import available_workers, shared_memory_map
+from ..trace.io import MmapNpzReader
 from . import results as results_mod
 from .results import SearchResult
 from .scheduler import QueryBatch
-from .storage import graph_signature, graphs_from_buffer, graphs_to_npz_bytes
+from .storage import graph_signature, graphs_from_arrays, graphs_to_npz_bytes
 
 __all__ = ["shard_bounds", "ShardedExecutor"]
-
-logger = logging.getLogger("repro.search.executor")
 
 
 def shard_bounds(database_size: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -152,58 +148,31 @@ def _score_shard_queries(
     return vectors
 
 
-def _shard_task(task):
+def _score_shard(view, task) -> List[np.ndarray]:
     """Worker body: score every batch query against one database shard.
 
-    Attaches the parent's shared-memory database image, rebuilds only
-    ``[start, stop)``, and returns raw per-query score vectors — the
-    parent owns ranking and merging so the tie-break contract lives in
-    one process. ``telemetry`` is the ``(metrics, trace)`` pair the
-    other worker tasks carry; when tracing, per-query ``execute.shard``
-    spans tagged with ``members`` ride back in the telemetry payload.
+    Reads only ``[start, stop)`` of the shared database image (or, for
+    a candidate shard, the database ids ``ids``) as zero-copy views, and
+    returns raw per-query score vectors — the parent owns ranking and
+    merging so the tie-break contract lives in one process. Shard spans
+    go to the active tracer, which :mod:`repro.perf.parallel` makes the
+    worker's private one when the executor traces.
     """
-    (
-        shm_name,
-        size,
-        start,
-        stop,
-        ids,
-        model,
-        scorer,
-        queries,
-        members,
-        telemetry,
-    ) = task
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=shm_name)
-    view = None
-    try:
-        view = shm.buf[:size]
-        if ids is None:
-            shard = graphs_from_buffer(view, start, stop)
-            shard_label = f"{start}:{stop}"
-        else:
-            # Candidate-retrieval shard: ``[start, stop)`` slices the
-            # batch's candidate id array, not the database itself.
-            shard = graphs_from_buffer(view, indices=ids)
-            shard_label = f"sel{start}:{stop}"
-        signatures = [graph_signature(graph) for graph in shard]
-        _, trace = telemetry
-        vectors, payload = _collected(
-            lambda: _score_shard_queries(
-                model, scorer, shard, signatures, queries,
-                members, shard_label, get_tracer() if trace else None,
-            ),
-            telemetry,
-        )
-        return start, vectors, payload
-    finally:
-        view = None
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still referenced
-            pass  # process exit unmaps; the parent unlinks
+    start, stop, ids, model, scorer, queries, members = task
+    data = MmapNpzReader(buffer=view)
+    if ids is None:
+        shard = graphs_from_arrays(data, start, stop)
+        shard_label = f"{start}:{stop}"
+    else:
+        # Candidate-retrieval shard: ``[start, stop)`` slices the
+        # batch's candidate id array, not the database itself.
+        shard = graphs_from_arrays(data, indices=ids)
+        shard_label = f"sel{start}:{stop}"
+    signatures = [graph_signature(graph) for graph in shard]
+    return _score_shard_queries(
+        model, scorer, shard, signatures, queries, members, shard_label,
+        get_tracer(),
+    )
 
 
 def _pair_score(
@@ -465,54 +434,32 @@ class ShardedExecutor:
         Returns None when the segment cannot be created so the caller
         falls back to the serial path.
         """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - stdlib always has it
-            return None
-        image = self._database_image()
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=len(image))
-        except (OSError, PermissionError, ValueError) as exc:
-            registry = get_metrics()
-            if registry is not None:
-                registry.inc(
-                    "search.serve.shm_failures", kind=type(exc).__name__
-                )
-            logger.warning(
-                "shared-memory segment unavailable (%s: %s); scoring "
-                "shards serially",
-                type(exc).__name__,
-                exc,
+        tasks = [
+            (
+                start,
+                stop,
+                None if selection is None else selection[start:stop],
+                self.model,
+                self.scorer,
+                list(queries),
+                members,
             )
+            for start, stop in bounds
+        ]
+        per_shard = shared_memory_map(
+            _score_shard,
+            self._database_image(),
+            tasks,
+            workers,
+            failure_counter="search.serve.shm_failures",
+            fallback="scoring shards serially",
+            tracer=self.tracer,
+        )
+        if per_shard is None:
             return None
-        telemetry = (get_metrics() is not None, self.tracer is not None)
-        try:
-            segment.buf[: len(image)] = image
-            tasks = [
-                (
-                    segment.name,
-                    len(image),
-                    start,
-                    stop,
-                    None if selection is None else selection[start:stop],
-                    self.model,
-                    self.scorer,
-                    list(queries),
-                    members,
-                    telemetry,
-                )
-                for start, stop in bounds
-            ]
-            raw = _map_tasks(_shard_task, tasks, workers)
-        finally:
-            segment.close()
-            segment.unlink()
-        raw.sort(key=lambda item: item[0])
-        for _, _, telemetry in raw:
-            _merge_worker_telemetry(telemetry, self.tracer)
-        # raw is per-shard [per-query scores]; transpose to per-query
-        # [per-shard scores] in shard order.
+        # per_shard is [per-query scores] in shard order; transpose to
+        # per-query [per-shard scores].
         return [
-            [vectors[position] for _, vectors, _ in raw]
+            [vectors[position] for vectors in per_shard]
             for position in range(len(queries))
         ]

@@ -18,8 +18,10 @@ encoding:
   Byte keys cannot collide, so dedup is exact by construction.
 
 The codec is also how database shards travel to worker processes: the
-executor publishes one uncompressed ``.npz`` image of the database into
-shared memory and each worker rebuilds only its shard's graphs from it.
+executor publishes one uncompressed ``.npz`` image of the database
+(:func:`graphs_to_npz_bytes`) into shared memory, and each worker opens
+it with :class:`repro.trace.io.MmapNpzReader` and rebuilds only its
+shard's graphs through :func:`graphs_from_arrays`, as zero-copy views.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "database_arrays",
     "graphs_from_arrays",
     "graphs_to_npz_bytes",
-    "graphs_from_buffer",
     "sketch_from_arrays",
     "graph_signature",
 ]
@@ -94,7 +95,9 @@ def graphs_from_arrays(
     """Rebuild graphs from a :func:`database_arrays` mapping (an open
     ``npz`` file or a plain dict).
 
-    Either a contiguous ``start:stop`` slice or an explicit ``indices``
+    ``data`` may also be a :class:`~repro.trace.io.MmapNpzReader` over a
+    shared-memory image (the executor's shard workers). Either a
+    contiguous ``start:stop`` slice or an explicit ``indices``
     selection (the executor's candidate shards). Raises an actionable
     ``ValueError`` for artifacts of any other schema version (a
     version-less file is v1) or missing their graph arrays.
@@ -156,19 +159,6 @@ def graphs_to_npz_bytes(graphs: Sequence[Graph]) -> bytes:
     buffer = io.BytesIO()
     np.savez(buffer, **database_arrays(graphs))
     return buffer.getvalue()
-
-
-def graphs_from_buffer(
-    buffer,
-    start: int = 0,
-    stop: int = None,
-    indices: Optional[Iterable[int]] = None,
-) -> List[Graph]:
-    """Rebuild graphs from a :func:`graphs_to_npz_bytes` image (bytes
-    or a shared-memory view) — a ``start:stop`` slice or an explicit
-    ``indices`` selection."""
-    with np.load(io.BytesIO(bytes(buffer)), allow_pickle=False) as data:
-        return graphs_from_arrays(data, start, stop, indices=indices)
 
 
 def graph_signature(graph: Graph) -> bytes:

@@ -1126,6 +1126,7 @@ def check_serve_vs_direct(context: CheckContext):
     from ..graphs.graph import Graph
     from ..graphs.pairs import substitute_edges
     from ..models import build_model
+    from ..search import executor as executor_mod
     from ..search import index as index_mod
     from ..search.scheduler import SchedulingPolicy
 
@@ -1153,22 +1154,34 @@ def check_serve_vs_direct(context: CheckContext):
         if not context.quick
         else (SchedulingPolicy.FIFO, SchedulingPolicy.SIZE_BUCKETED)
     )
+    # The serial executor for every policy, plus one leg through the
+    # shared-memory shard transport. Worker counts are taken as given,
+    # not clamped to the host's CPUs (as harness.serial_vs_parallel
+    # does), so single-core hosts still take the sharded path; a host
+    # that cannot start a pool degrades to in-process execution of the
+    # same shard tasks.
+    legs = [(policy, 1) for policy in policies]
+    legs.append((SchedulingPolicy.FIFO, 2))
     compared = 0
-    for policy in policies:
+    for policy, workers in legs:
+        label = f"{policy.value}, workers={workers}"
         pipeline = index.pipeline(
-            policy=policy, max_batch_queries=2, num_shards=3, workers=1
+            policy=policy, max_batch_queries=2, num_shards=3, workers=workers
         )
-        responses = pipeline.serve(stream, top_k=top_k)
+        with _patched(
+            executor_mod, "available_workers", lambda requested: requested
+        ):
+            responses = pipeline.serve(stream, top_k=top_k)
         for graph, response in zip(stream, responses):
             _require(
                 response is not None and response.ok,
-                f"[{policy.value}] request was not served: {response}",
+                f"[{label}] request was not served: {response}",
             )
             served = list(response.results)
             expected = flat[id(graph)]
             _require(
                 served == expected,
-                f"[{policy.value}] served top-k diverges from the flat "
+                f"[{label}] served top-k diverges from the flat "
                 f"path: {served} != {expected}",
             )
             compared += 1
@@ -1196,8 +1209,9 @@ def check_serve_vs_direct(context: CheckContext):
         "live request served wrong results alongside an expired one",
     )
     return (
-        f"{compared} served requests x {len(policies)} policies "
-        "bit-identical to the flat path; deadline shedding clean"
+        f"{compared} served requests over {len(policies)} policies and a "
+        "sharded leg bit-identical to the flat path; deadline shedding "
+        "clean"
     )
 
 

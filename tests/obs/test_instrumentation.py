@@ -143,12 +143,19 @@ class TestParallelMerge:
         assert registry.counter("sim.pairs", platform="CEGMA") == 4
 
     def test_no_collection_when_metrics_off(self, monkeypatch, tmp_path):
-        from repro.perf.parallel import _spec_task
+        from repro.perf import parallel
 
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
-        payload = RunSpec.make("GMN-Li", "AIDS", 2, 2, 0).to_dict()
-        _, results, metrics_payload = _spec_task(
-            (payload, ("CEGMA",), (False, False))
-        )
-        assert metrics_payload is None
-        assert results["CEGMA"].num_pairs == 2
+        payloads = []
+        merge = parallel._merge_worker_telemetry
+
+        def spy(payload, tracer=None):
+            payloads.append(payload)
+            merge(payload, tracer)
+
+        monkeypatch.setattr(parallel, "_merge_worker_telemetry", spy)
+        spec = RunSpec.make("GMN-Li", "AIDS", 2, 2, 0)
+        computed = parallel.parallel_run_specs([spec], ("CEGMA",), workers=1)
+        # The worker ran with no registry or tracer: no payload at all.
+        assert payloads == [None]
+        assert computed[spec]["CEGMA"].num_pairs == 2

@@ -16,8 +16,10 @@ from repro.perf.parallel import (
     _merge_worker_telemetry,
     _telemetry_payload,
     available_workers,
+    parallel_map,
+    parallel_run_specs,
     parallel_simulate_workload,
-    parallel_workload_results,
+    shared_memory_map,
 )
 from repro.platforms import RunSpec
 
@@ -32,19 +34,34 @@ def _no_disk_cache(monkeypatch):
     clear_workload_caches()
 
 
+def _usable_cpus():
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class TestAvailableWorkers:
     def test_defaults_to_cpu_count(self):
-        import os
-
-        assert available_workers() == (os.cpu_count() or 1)
+        assert available_workers() == _usable_cpus()
 
     def test_clamped_to_cores_and_floor_of_one(self):
-        import os
-
-        cores = os.cpu_count() or 1
+        cores = _usable_cpus()
         assert available_workers(10_000) == cores
         assert available_workers(0) == 1
         assert available_workers(-3) == 1
+
+    def test_counts_the_affinity_mask_not_the_machine(self, monkeypatch):
+        """A process pinned to one CPU of an 8-CPU host gets one worker."""
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert available_workers() == 1
+        assert available_workers(4) == 1
 
 
 class TestChunkBounds:
@@ -165,18 +182,18 @@ class TestWorkerDeathFallback:
         )
 
     def test_results_complete_after_worker_death(self, _dying_pool):
-        workloads = [("GMN-Li", "AIDS"), ("SimGNN", "AIDS")]
-        fanned = parallel_workload_results(
-            workloads, PLATFORMS, 2, 2, seed=0, workers=2
-        )
-        assert set(fanned) == set(workloads)
-        for model, dataset in workloads:
-            direct = workload_results(model, dataset, PLATFORMS, 2, 2, 0)
+        specs = [
+            RunSpec.make("GMN-Li", "AIDS", 2, 2, 0),
+            RunSpec.make("SimGNN", "AIDS", 2, 2, 0),
+        ]
+        fanned = parallel_run_specs(specs, PLATFORMS, workers=2)
+        assert set(fanned) == set(specs)
+        for spec in specs:
+            direct = workload_results(
+                spec.model, spec.dataset, PLATFORMS, 2, 2, 0
+            )
             for platform in PLATFORMS:
-                assert (
-                    fanned[(model, dataset)][platform].cycles
-                    == direct[platform].cycles
-                )
+                assert fanned[spec][platform].cycles == direct[platform].cycles
 
     def test_merged_registry_complete_and_failure_counted(self, _dying_pool):
         from repro.obs.metrics import metrics_enabled
@@ -223,21 +240,33 @@ class TestWorkerDeathFallback:
 
 class TestSharedMemoryTransport:
     def test_shm_chunks_match_serial(self):
-        from repro.perf.parallel import _shm_map_chunks
+        from repro.experiments.common import traces_for
+        from repro.perf.parallel import _simulate_chunk
+        from repro.trace.io import traces_to_npz_bytes
 
         spec = RunSpec.make("GMN-Li", "AIDS", 4, 2, 0)
         bounds = _chunk_bounds(spec.num_pairs, spec.batch_size, 2)
         assert len(bounds) == 2
         # workers=1 keeps the tasks in-process, so this exercises the
         # full publish → attach → zero-copy rebuild path without a pool.
-        chunks = _shm_map_chunks(spec, PLATFORMS, bounds, 1, (False, False))
+        tasks = [
+            (PLATFORMS, start // spec.batch_size, -(-stop // spec.batch_size))
+            for start, stop in bounds
+        ]
+        chunks = shared_memory_map(
+            _simulate_chunk,
+            traces_to_npz_bytes(traces_for(spec)),
+            tasks,
+            1,
+            failure_counter="perf.parallel.shm_failures",
+            fallback="test",
+        )
         assert chunks is not None
         serial = simulate_workload(
             "GMN-Li", "AIDS", PLATFORMS, num_pairs=4, batch_size=2, seed=0
         )
-        chunks.sort(key=lambda item: item[0])
         merged = {}
-        for _, results, _ in chunks:
+        for results in chunks:
             for platform, result in results.items():
                 if platform in merged:
                     merged[platform].merge(result)
@@ -272,6 +301,103 @@ class TestSharedMemoryTransport:
             registry.counter("perf.parallel.shm_failures", kind="OSError") == 1
         )
         assert registry.gauge("perf.parallel.workers") == 2
+
+
+def _square(task):
+    return task * task
+
+
+def _record_task(task):
+    """Pool task that records into whatever telemetry is active."""
+    from repro.obs.metrics import get_metrics
+    from repro.obs.tracing import get_tracer
+
+    registry = get_metrics()
+    if registry is not None:
+        registry.inc("test.tasks")
+    tracer = get_tracer()
+    if tracer is not None:
+        tracer.record("test.task", 0.0, 1.0, task=task)
+    return task
+
+
+def _image_window(view, task):
+    start, stop = task
+    return len(view), bytes(view[start:stop])
+
+
+class TestParallelMap:
+    """The one pool map: task order, serial fallback, worker telemetry.
+
+    ``workers=2`` runs a real pool on multi-core hosts and the serial
+    fallback elsewhere; both must give the same observable result.
+    """
+
+    def test_results_come_back_in_task_order(self):
+        assert parallel_map(_square, list(range(7)), 2) == [
+            i * i for i in range(7)
+        ]
+
+    def test_worker_telemetry_merges_into_the_active_objects(self):
+        from repro.obs.metrics import metrics_enabled
+        from repro.obs.tracing import tracing_enabled
+
+        with metrics_enabled() as registry, tracing_enabled() as tracer:
+            assert parallel_map(_record_task, [1, 2, 3], 2) == [1, 2, 3]
+        assert registry.counter("test.tasks") == 3
+        assert sorted(e["args"]["task"] for e in tracer.events) == [1, 2, 3]
+
+    def test_explicit_tracer_is_the_only_span_target(self):
+        from repro.obs.tracing import Tracer, tracing_enabled
+
+        own = Tracer()
+        with tracing_enabled() as active:
+            parallel_map(_record_task, [1, 2], 2, tracer=own)
+            # tracer=None records no spans at all, even with a tracer
+            # active in the parent.
+            parallel_map(_record_task, [3, 4], 2, tracer=None)
+        assert len(own) == 2
+        assert len(active) == 0
+
+
+class TestSharedMemoryMap:
+    def test_each_task_sees_the_whole_image_and_nothing_leaks(self):
+        image = bytes(range(256)) * 5  # not a page multiple
+        before = _shm_segments()
+        results = shared_memory_map(
+            _image_window,
+            image,
+            [(0, 4), (1000, 1280)],
+            2,
+            failure_counter="test.shm_failures",
+            fallback="test",
+        )
+        assert results == [
+            (len(image), image[0:4]),
+            (len(image), image[1000:1280]),
+        ]
+        assert _shm_segments() - before == set()
+
+    def test_segment_failure_returns_none_and_counts(self, monkeypatch):
+        from multiprocessing import shared_memory
+
+        from repro.obs.metrics import metrics_enabled
+
+        def _refuse(*args, **kwargs):
+            raise OSError("no shared memory on this host")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", _refuse)
+        with metrics_enabled() as registry:
+            results = shared_memory_map(
+                _image_window,
+                b"image",
+                [(0, 1)],
+                2,
+                failure_counter="test.shm_failures",
+                fallback="test",
+            )
+        assert results is None
+        assert registry.counter("test.shm_failures", kind="OSError") == 1
 
 
 class TestWorkerTelemetryTransport:
@@ -351,18 +477,18 @@ class TestWorkerTelemetryTransport:
 
 class TestParallelWorkloadResults:
     def test_matches_direct_results(self):
-        workloads = [("GMN-Li", "AIDS"), ("SimGNN", "AIDS")]
-        fanned = parallel_workload_results(
-            workloads, PLATFORMS, 2, 2, seed=0, workers=2
-        )
-        assert set(fanned) == set(workloads)
-        for model, dataset in workloads:
-            direct = workload_results(model, dataset, PLATFORMS, 2, 2, 0)
+        specs = [
+            RunSpec.make("GMN-Li", "AIDS", 2, 2, 0),
+            RunSpec.make("SimGNN", "AIDS", 2, 2, 0),
+        ]
+        fanned = parallel_run_specs(specs, PLATFORMS, workers=2)
+        assert list(fanned) == specs
+        for spec in specs:
+            direct = workload_results(
+                spec.model, spec.dataset, PLATFORMS, 2, 2, 0
+            )
             for platform in PLATFORMS:
-                assert (
-                    fanned[(model, dataset)][platform].cycles
-                    == direct[platform].cycles
-                )
+                assert fanned[spec][platform].cycles == direct[platform].cycles
 
     def test_prewarm_primes_memo(self):
         prewarm_workloads(

@@ -6,12 +6,12 @@ import pytest
 from repro.graphs import generate_graph
 from repro.models import build_model
 from repro.obs import LATENCY_BUCKETS, metrics_enabled
-from repro.obs.tracing import Tracer
-from repro.perf.parallel import _merge_worker_telemetry
+from repro.obs.tracing import Tracer, tracing_enabled
+from repro.perf.parallel import shared_memory_map
 from repro.search.executor import (
     ShardedExecutor,
     _dedup_scores,
-    _shard_task,
+    _score_shard,
     shard_bounds,
 )
 from repro.search.requests import QueryRequest
@@ -142,39 +142,39 @@ class TestExecutor:
         assert len(executor.signatures()) == 1
 
 
+def _run_shard(database, model, start, stop, queries, members, tracer):
+    """Run the shard worker body through the shared-memory transport.
+
+    ``workers=1`` keeps the task in-process, so this covers publish →
+    attach → zero-copy read → telemetry merge even on single-core hosts
+    where the pool path never runs. Returns the per-query vectors.
+    """
+    (vectors,) = shared_memory_map(
+        _score_shard,
+        graphs_to_npz_bytes(database),
+        [(start, stop, None, model, None, queries, members)],
+        1,
+        failure_counter="search.serve.shm_failures",
+        fallback="test",
+        tracer=tracer,
+    )
+    return vectors
+
+
 class TestShardTask:
     def test_worker_body_in_process(self, database, model):
         """Exercise the worker path against a real shared-memory segment."""
-        from multiprocessing import shared_memory
-
-        image = graphs_to_npz_bytes(database)
-        segment = shared_memory.SharedMemory(create=True, size=len(image))
-        try:
-            segment.buf[: len(image)] = image
-            start, stop = 2, len(database)
-            task = (
-                segment.name,
-                len(image),
-                start,
-                stop,
-                None,  # contiguous shard, no candidate selection
-                model,
-                None,
-                [database[0]],
-                None,  # no member request ids
-                (True, False),  # metrics-only telemetry
+        start, stop = 2, len(database)
+        # Not tracing: a tracer active in the parent receives nothing.
+        with metrics_enabled() as registry, tracing_enabled() as active:
+            vectors = _run_shard(
+                database, model, start, stop, [database[0]], None, None
             )
-            shard_start, vectors, payload = _shard_task(task)
-        finally:
-            segment.close()
-            segment.unlink()
-        assert shard_start == start
         assert len(vectors) == 1 and vectors[0].shape == (stop - start,)
         # The shard holds database[2:] — the clone of database[3] has its
         # representative in-shard, so per-shard dedup saves one pass.
-        counters = payload["metrics"]["counters"]
-        assert counters["search.serve.candidate_dedup_hits"] == 1
-        assert "spans" not in payload  # not tracing, no spans
+        assert registry.counter("search.serve.candidate_dedup_hits") == 1
+        assert len(active) == 0
 
         # The raw scores equal in-process scoring of the same slice.
         from repro.search.executor import _pair_score
@@ -189,49 +189,28 @@ class TestShardTask:
 class TestWorkerTelemetry:
     """Request telemetry across the shm worker boundary (in-process).
 
-    ``_shard_task`` is exercised against a real shared-memory segment —
-    the same body the pool runs — and its payload merged with
-    ``_merge_worker_telemetry``, so the cross-process contract is
-    covered even on single-core hosts where the pool path never runs.
+    ``_score_shard`` runs through :func:`shared_memory_map` against a
+    real shared-memory segment — the same path the pool runs — so the
+    cross-process contract is covered even on single-core hosts where
+    the pool path never runs.
     """
-
-    def _run_worker(self, database, model, members, queries=None):
-        from multiprocessing import shared_memory
-
-        image = graphs_to_npz_bytes(database)
-        segment = shared_memory.SharedMemory(create=True, size=len(image))
-        try:
-            segment.buf[: len(image)] = image
-            task = (
-                segment.name,
-                len(image),
-                0,
-                len(database),
-                None,  # contiguous shard, no candidate selection
-                model,
-                None,
-                queries if queries is not None else [database[0]],
-                members,
-                (True, True),  # (metrics, trace)
-            )
-            return _shard_task(task)
-        finally:
-            segment.close()
-            segment.unlink()
 
     def test_context_crosses_the_worker_boundary(self, database, model):
         """Member request ids ride the task tuple as plain integers and
         come back on the worker's shard span."""
-        _, _, payload = self._run_worker(database, model, [(42, 43)])
-        (span_payload,) = payload["spans"]
+        tracer = Tracer()
+        with metrics_enabled() as registry:
+            _run_shard(
+                database, model, 0, len(database), [database[0]],
+                [(42, 43)], tracer,
+            )
+        (span_payload,) = tracer.events
         assert list(span_payload["request_ids"]) == [42, 43]
         assert span_payload["name"] == "execute.shard"
         assert span_payload["parent"] == "execute"
         assert span_payload["args"]["shard"] == f"0:{len(database)}"
         assert span_payload["pid"] == Tracer().pid
-        assert "obs.context.worker_failures" not in (
-            payload["metrics"]["counters"]
-        )
+        assert registry.counter("obs.context.worker_failures") == 0
 
     def test_nondefault_bounds_survive_the_merge(self, database, model):
         """Satellite check: LATENCY_BUCKETS histograms merge exactly.
@@ -240,29 +219,22 @@ class TestWorkerTelemetry:
         non-default bucket bounds; a merge that re-created it with
         DEFAULT_BUCKETS would corrupt every quantile.
         """
-        _, _, first = self._run_worker(database, model, [(1,)])
-        _, _, second = self._run_worker(
-            database,
-            model,
-            [(2,), (3,)],
-            queries=[database[0], database[1]],
-        )
         tracer = Tracer()
         with metrics_enabled() as registry:
-            _merge_worker_telemetry(first, tracer)
-            _merge_worker_telemetry(second, tracer)
+            _run_shard(
+                database, model, 0, len(database), [database[0]],
+                [(1,)], tracer,
+            )
+            _run_shard(
+                database, model, 0, len(database),
+                [database[0], database[1]], [(2,), (3,)], tracer,
+            )
         merged = registry.histogram("search.serve.shard_seconds")
         assert merged.bounds == LATENCY_BUCKETS
         assert merged.count == 3  # one query + two queries
-        worker_total = (
-            first["metrics"]["histograms"][
-                "search.serve.shard_seconds"
-            ]["total"]
-            + second["metrics"]["histograms"][
-                "search.serve.shard_seconds"
-            ]["total"]
+        assert merged.total == pytest.approx(
+            sum(event["dur"] for event in tracer.events) / 1e6
         )
-        assert merged.total == pytest.approx(worker_total)
         # Spans from both workers survive and rejoin request trees.
         assert len(tracer) == 3
         assert tracer.request_ids() == [1, 2, 3]
@@ -289,3 +261,79 @@ class TestWorkerTelemetry:
             if span["name"] == "execute.shard"
         ]
         assert shard_span["parent"] == "execute"
+
+
+class TestShardedFaults:
+    """Fault injection on the sharded path: ``workers=2`` is forced so
+    the pool path engages on any host, then the pool or the segment is
+    broken. Either way the rankings equal the flat path, the fallback
+    is counted once, and the shard spans survive."""
+
+    @pytest.fixture
+    def sharded(self, database, model, monkeypatch):
+        from repro.search import SimilaritySearchIndex
+        from repro.search import executor as executor_mod
+
+        monkeypatch.setattr(
+            executor_mod, "available_workers", lambda requested=None: 2
+        )
+        index = SimilaritySearchIndex(model)
+        index.add_many(database)
+        tracer = Tracer()
+        executor = ShardedExecutor(
+            model, index._graphs, workers=2, tracer=tracer
+        )
+        queries = [database[0], database[4]]
+        batch = _batch(BatchScheduler(), queries)
+
+        def serve():
+            with metrics_enabled() as registry:
+                rankings = executor.run_batch(batch, pending_since=0.0)
+            for query, ranking in zip(queries, rankings):
+                assert list(ranking) == index._query_flat(query, top_k=3)
+            shard_spans = [
+                event for event in tracer.events
+                if event["name"] == "execute.shard"
+            ]
+            assert shard_spans
+            return registry
+
+        return serve
+
+    def test_worker_death_reruns_shards_in_process(
+        self, sharded, monkeypatch
+    ):
+        from repro.perf import parallel
+        from tests.perf import test_parallel
+
+        monkeypatch.setattr(
+            parallel,
+            "ProcessPoolExecutor",
+            test_parallel.TestWorkerDeathFallback._DyingPool,
+        )
+        registry = sharded()
+        assert (
+            registry.counter(
+                "perf.parallel.worker_failures", kind="BrokenProcessPool"
+            )
+            == 1
+        )
+        assert registry.counter("search.serve.shm_failures", kind="OSError") == 0
+
+    def test_segment_failure_scores_serially(self, sharded, monkeypatch):
+        from multiprocessing import shared_memory
+
+        def _refuse(*args, **kwargs):
+            raise OSError("no shared memory on this host")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", _refuse)
+        registry = sharded()
+        assert (
+            registry.counter("search.serve.shm_failures", kind="OSError") == 1
+        )
+        assert (
+            registry.counter(
+                "perf.parallel.worker_failures", kind="BrokenProcessPool"
+            )
+            == 0
+        )
