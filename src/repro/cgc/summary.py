@@ -22,13 +22,24 @@ bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
   tuples) whose order CPython fixes at construction: deletions leave
   dummy slots and never reorder survivors, and no edges are ever added
   after ``set(edges)``. The fast tracker therefore canonicalizes edges
-  as ``list(set(edges))`` once — the iteration order of ``remaining``
-  at *any* later point is this list filtered to still-alive edges.
+  as ``list(set(edges))`` once per pair — the iteration order of
+  ``remaining`` at *any* later point is this list filtered to
+  still-alive edges.
 - The cleanup seed ``max({u for edge in remaining for u in edge},
-  key=node_remains)`` tie-breaks on int-set iteration order. The fast
-  path rebuilds that set with the identical insertion sequence (same
+  key=node_remains)`` tie-breaks on int-set iteration order. When one
+  node alone holds the maximum remaining degree it is the seed, whatever
+  the order. On a tie the fast path builds a real set from the same
+  interleaved endpoint sequence (same insertion order, so the same
   CPython table layout) and takes ``np.argmax`` — first maximum — over
   the set's own iteration order, matching ``max`` exactly.
+- The cleanup sweep is memoized per pair. Its rounds depend only on the
+  alive-edge mask at cleanup start (the remaining degrees follow from
+  it) and on ``capacity``, and the capacity acts only when a window
+  reaches it. A sweep is therefore stored under its start mask only if
+  every window stayed below its capacity, and it is replayed only at a
+  capacity above its largest window, where the same scans run to the
+  same ends. Replay appends the rounds through the step recorder, so
+  the first round's misses still count against the last sweep window.
 - ``remaining_degree`` counts every edge *occurrence* (duplicates
   included), while processing only retires canonical edges; the fast
   tracker replicates this asymmetry via one ``np.bincount`` over the
@@ -195,59 +206,85 @@ class ScheduleSummary:
 # ----------------------------------------------------------------------
 # Fast exact builders
 # ----------------------------------------------------------------------
+class _PairEntry:
+    """Everything memoized for one pair, in ``_SUMMARY_MEMO``.
+
+    ``summaries`` maps ``(scheme, capacity, actives, actives)`` to built
+    summaries. The topology arrays, filled by the first fast build, hold
+    the canonical edge order (see module docstring) as ``src``/``dst``,
+    its lexicographic order ``sorted_edges`` (= ``sorted(remaining)``)
+    and the initial remaining degrees. ``cleanups`` maps a packed
+    alive-edge mask at cleanup start to the :class:`_CleanupRun` it
+    produced. Numpy arrays only, and no reference back to the pair, so
+    the weak key can drop it.
+    """
+
+    __slots__ = ("summaries", "cleanups", "src", "dst", "sorted_edges", "remains")
+
+    def __init__(self) -> None:
+        self.summaries: Dict[Tuple, ScheduleSummary] = {}
+        self.cleanups: Dict[bytes, "_CleanupRun"] = {}
+        self.src: Optional[np.ndarray] = None
+
+    def load_topology(self, pair: GraphPair) -> None:
+        edges = _pair_edges(pair)
+        canonical = list(set(edges))
+        self.src = np.array([edge[0] for edge in canonical], dtype=np.int64)
+        self.dst = np.array([edge[1] for edge in canonical], dtype=np.int64)
+        self.sorted_edges = np.lexsort((self.dst, self.src))
+        if edges:
+            endpoints = np.array(edges, dtype=np.int64).ravel()
+            self.remains = np.bincount(endpoints, minlength=pair.total_nodes)
+        else:
+            self.remains = np.zeros(pair.total_nodes, dtype=np.int64)
+
+
+def _pair_entry(pair: GraphPair) -> _PairEntry:
+    entry = _SUMMARY_MEMO.get(pair)
+    if entry is None:
+        entry = _PairEntry()
+        _SUMMARY_MEMO[pair] = entry
+    return entry
+
+
 class _ArrayTracker:
     """Array twin of :class:`~repro.cgc.window._EdgeTracker`.
 
-    Canonical edge order is the iteration order of ``set(edges)`` (see
-    module docstring); aliveness and remaining degrees live in numpy
-    arrays, and co-residency processing is one boolean pass over the
-    canonical edge list per window instead of per-node set algebra.
+    Aliveness and remaining degrees live in numpy arrays over the pair
+    entry's canonical edges, and co-residency processing is one boolean
+    pass over them per window instead of per-node set algebra.
     """
 
-    __slots__ = (
-        "src_list",
-        "dst_list",
-        "src",
-        "dst",
-        "alive",
-        "remains",
-        "_mark",
-        "_gen",
-    )
+    __slots__ = ("entry", "alive", "remains", "_mark", "_gen")
 
     def __init__(self, pair: GraphPair) -> None:
-        edges = _pair_edges(pair)
-        canonical = list(set(edges))
-        self.src_list = [edge[0] for edge in canonical]
-        self.dst_list = [edge[1] for edge in canonical]
-        self.src = np.array(self.src_list, dtype=np.int64)
-        self.dst = np.array(self.dst_list, dtype=np.int64)
-        self.alive = np.ones(len(canonical), dtype=bool)
-        num_nodes = pair.total_nodes
-        if edges:
-            endpoints = np.array(edges, dtype=np.int64).ravel()
-            self.remains = np.bincount(endpoints, minlength=num_nodes)
-        else:
-            self.remains = np.zeros(num_nodes, dtype=np.int64)
-        self._mark = np.zeros(num_nodes, dtype=np.int64)
+        self.entry = entry = _pair_entry(pair)
+        if entry.src is None:
+            entry.load_topology(pair)
+        self.alive = np.ones(entry.src.shape[0], dtype=bool)
+        self.remains = entry.remains.copy()
+        self._mark = np.zeros(entry.remains.shape[0], dtype=np.int64)
         self._gen = 0
 
     def process(self, window: np.ndarray) -> int:
         """Retire every alive edge with both endpoints in ``window``."""
         if not self.alive.any():
             return 0
+        src, dst = self.entry.src, self.entry.dst
         self._gen += 1
         self._mark[window] = self._gen
         done = (
             self.alive
-            & (self._mark[self.src] == self._gen)
-            & (self._mark[self.dst] == self._gen)
+            & (self._mark[src] == self._gen)
+            & (self._mark[dst] == self._gen)
         )
         count = int(np.count_nonzero(done))
         if count:
             self.alive[done] = False
-            np.subtract.at(self.remains, self.src[done], 1)
-            np.subtract.at(self.remains, self.dst[done], 1)
+            self.remains -= np.bincount(
+                np.concatenate((src[done], dst[done])),
+                minlength=self.remains.shape[0],
+            )
         return count
 
 
@@ -294,47 +331,88 @@ class _StepRecorder:
         )
 
 
+class _CleanupRun:
+    """One cleanup sweep's windows with their processed-edge counts."""
+
+    __slots__ = ("windows", "processed", "largest")
+
+    def __init__(self, windows: List[np.ndarray], processed: List[int]) -> None:
+        self.windows = windows
+        self.processed = processed
+        self.largest = max(window.shape[0] for window in windows)
+
+    def fits(self, capacity: int) -> bool:
+        """Whether the sweep at ``capacity`` yields the same rounds: no
+        window reached this capacity, so its bound never cut a scan."""
+        return capacity > self.largest
+
+    def replay(self, recorder: _StepRecorder) -> None:
+        for window, processed in zip(self.windows, self.processed):
+            recorder.append(window, 0, processed, cleanup=True)
+
+
 def _cleanup_rounds(
     tracker: _ArrayTracker, recorder: _StepRecorder, capacity: int
 ) -> None:
-    """Replicates ``_EdgeTracker.cleanup_steps`` over the array state."""
-    if not tracker.alive.any():
+    """Replicates ``_EdgeTracker.cleanup_steps`` over the array state,
+    memoized per pair by the alive mask at cleanup start (see the module
+    docstring for when a stored sweep is replayed)."""
+    alive = tracker.alive
+    if not alive.any():
         return
-    src_list, dst_list = tracker.src_list, tracker.dst_list
-    # One lexicographic sort up front (= sorted(remaining)); each round
-    # keeps the still-sorted alive suffix.
-    order = np.lexsort((tracker.dst, tracker.src))
-    pending = order[tracker.alive[order]]
-    while True:
-        alive_index = np.flatnonzero(tracker.alive)
-        if alive_index.size == 0:
-            break
-        # Same insertion sequence as the serial seed set comprehension,
-        # so the int set's iteration order (the max() tie-break) matches.
-        nodes_set: set = set()
-        add = nodes_set.add
-        for index in alive_index.tolist():
-            add(src_list[index])
-            add(dst_list[index])
-        nodes = np.fromiter(nodes_set, dtype=np.int64, count=len(nodes_set))
-        seed = int(nodes[np.argmax(tracker.remains[nodes])])
+    entry = tracker.entry
+    key = np.packbits(alive).tobytes()
+    run = entry.cleanups.get(key)
+    if run is not None and run.fits(capacity):
+        run.replay(recorder)
+        alive[:] = False
+        return
+
+    src, dst, remains = entry.src, entry.dst, tracker.remains
+    # Alive edges in sorted(remaining) order; each round keeps the
+    # still-sorted alive rest.
+    pending = entry.sorted_edges[alive[entry.sorted_edges]]
+    windows: List[np.ndarray] = []
+    counts: List[int] = []
+    while pending.size:
+        alive_index = np.flatnonzero(alive)
+        # Endpoints in the serial seed set comprehension's order.
+        endpoints = np.stack((src[alive_index], dst[alive_index]), axis=1).ravel()
+        degrees = remains[endpoints]
+        top = endpoints[degrees == degrees.max()]
+        if (top == top[0]).all():
+            seed = int(top[0])
+        else:
+            # Ties resolve in the int set's iteration order, which the
+            # same insertion sequence reproduces.
+            nodes = np.fromiter(set(endpoints.tolist()), dtype=np.int64)
+            seed = int(nodes[np.argmax(remains[nodes])])
         chosen = {seed}
-        for index in pending.tolist():
-            if len(chosen) >= capacity:
-                break
-            u = src_list[index]
-            v = dst_list[index]
+        for u, v in zip(src[pending].tolist(), dst[pending].tolist()):
             if u in chosen:
-                if v not in chosen:
-                    chosen.add(v)
+                if v in chosen:
+                    continue
+                chosen.add(v)
             elif v in chosen:
                 chosen.add(u)
+            else:
+                continue
+            if len(chosen) >= capacity:
+                break
         window = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
         processed = tracker.process(window)
         if processed == 0:  # pragma: no cover - safety net
             raise RuntimeError("cleanup failed to make progress")
         recorder.append(window, 0, processed, cleanup=True)
-        pending = pending[tracker.alive[pending]]
+        windows.append(window)
+        counts.append(processed)
+        pending = pending[alive[pending]]
+
+    run = _CleanupRun(windows, counts)
+    if run.fits(capacity):
+        if len(entry.cleanups) >= _SUMMARY_MEMO_PER_PAIR:
+            entry.cleanups.clear()
+        entry.cleanups[key] = run
 
 
 def summarize_single(
@@ -452,10 +530,12 @@ _BUILDERS = {
     "coordinated": summarize_coordinated,
 }
 
-# Mirrors engine._SCHEDULE_MEMO (same keying, capacity, and eviction):
-# summaries depend only on (pair, scheme, capacity, active sets), never
-# on the platform, so all platforms simulated over one trace share them.
-_SUMMARY_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+# One _PairEntry per pair. Its summaries mirror engine._SCHEDULE_MEMO
+# (same keying, capacity, and eviction): they depend only on (pair,
+# scheme, capacity, active sets), never on the platform, so all
+# platforms simulated over one trace share them. The cleanup memo is
+# bounded and cleared the same way.
+_SUMMARY_MEMO: "WeakKeyDictionary[GraphPair, _PairEntry]" = WeakKeyDictionary()
 _SUMMARY_MEMO_PER_PAIR = 64
 
 
@@ -482,8 +562,8 @@ def memoized_summaries(pair: GraphPair) -> Dict[Tuple, ScheduleSummary]:
     simulation run actually built, keyed by the same
     ``(scheme, capacity, actives, actives)`` tuples the memo uses.
     """
-    per_pair = _SUMMARY_MEMO.get(pair)
-    return dict(per_pair) if per_pair else {}
+    entry = _SUMMARY_MEMO.get(pair)
+    return dict(entry.summaries) if entry is not None else {}
 
 
 def schedule_summary_for(
@@ -512,10 +592,7 @@ def schedule_summary_for(
         None if active_targets is None else tuple(active_targets),
         None if active_queries is None else tuple(active_queries),
     )
-    per_pair = _SUMMARY_MEMO.get(pair)
-    if per_pair is None:
-        per_pair = {}
-        _SUMMARY_MEMO[pair] = per_pair
+    per_pair = _pair_entry(pair).summaries
     summary = per_pair.get(key)
     if summary is None and store is not None:
         summary = store.get(summary_key(scheme, capacity, key[2], key[3]))

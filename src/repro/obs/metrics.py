@@ -41,6 +41,7 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "metrics_enabled",
+    "metrics_disabled",
     "metric_key",
 ]
 
@@ -346,5 +347,20 @@ def metrics_enabled(
     previous = set_metrics(active)
     try:
         yield active
+    finally:
+        set_metrics(previous)
+
+
+@contextmanager
+def metrics_disabled() -> Iterator[None]:
+    """Run the block with no active registry, restoring it on exit.
+
+    Code that skips work or takes a fast path when metrics are off
+    behaves here as in a metric-free run, even inside an enclosing
+    :func:`metrics_enabled` block.
+    """
+    previous = set_metrics(None)
+    try:
+        yield
     finally:
         set_metrics(previous)

@@ -34,6 +34,7 @@ module attributes, so the mutators' patches are visible to them.
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
 import tempfile
 from contextlib import contextmanager
@@ -53,6 +54,13 @@ from .workloads import (
 # CEGMA (EMF+CGC on) and one baseline (both off) cover every dataflow
 # branch of _simulate_pair_layer.
 _PLATFORMS = ("CEGMA", "HyGCN")
+
+# The batched-vs-serial check then runs CEGMA at two small buffers on
+# the same pairs, larger first: 8 and then 4 nodes at the AIDS traces'
+# 64-dim features. The 4-node cleanup windows reach their capacity, so
+# rounds memoized at 8 nodes must not be replayed there.
+_BUFFER_SWEEP = ("CEGMA@buffer_kb=2", "CEGMA@buffer_kb=1")
+_SMALLEST_BUFFER_NODES = 4
 
 # Documented tolerances. Differential pairs that share every formula
 # must agree bit for bit; the analytic/detailed latency models differ by
@@ -79,6 +87,25 @@ def _patched(obj, attr: str, value):
         yield
     finally:
         setattr(obj, attr, original)
+
+
+@contextmanager
+def _trace_cache_setting(value: str):
+    """Run with ``REPRO_TRACE_CACHE=value`` and empty in-process workload
+    memos, restoring the variable and emptying the memos on exit."""
+    from ..experiments import common as common_mod
+
+    previous = os.environ.get("REPRO_TRACE_CACHE")
+    os.environ["REPRO_TRACE_CACHE"] = value
+    common_mod.clear_workload_caches()
+    try:
+        yield
+    finally:
+        common_mod.clear_workload_caches()
+        if previous is None:
+            os.environ.pop("REPRO_TRACE_CACHE", None)
+        else:
+            os.environ["REPRO_TRACE_CACHE"] = previous
 
 
 def _deep_settings(max_examples: int):
@@ -542,6 +569,16 @@ def _mutate_plan_summary_fraction():
     return _patched(filter_mod.MatchingPlan, "summary", skewed)
 
 
+def _mutate_cleanup_memo_capacity():
+    """Replay memoized cleanup rounds at any capacity, even one that a
+    memoized window reaches or exceeds."""
+    from ..cgc import summary as summary_mod
+
+    return _patched(
+        summary_mod._CleanupRun, "fits", lambda self, capacity: True
+    )
+
+
 @register_check(
     "sim.batched_vs_serial",
     kind="differential",
@@ -553,20 +590,25 @@ def _mutate_plan_summary_fraction():
         "batched_summary_miscounts_misses": _mutate_batched_summary_misses,
         "gemm_batch_kernel_off_by_one": _mutate_gemm_batch_cycles,
         "plan_summary_halves_match_fraction": _mutate_plan_summary_fraction,
+        "cleanup_memo_ignores_capacity": _mutate_cleanup_memo_capacity,
     },
 )
 def check_batched_vs_serial(context: CheckContext):
     """The batched numpy backend is bit-identical to the per-pair loop.
 
     Covers the analytic engine and the detailed simulator (with and
-    without the tile model), both metric-free — where the batched path
-    may consult cached plan/schedule summaries and vectorized kernels —
-    and under an active registry, where every deterministic counter
-    stream (``sim.*``, ``emf.*``, ``cgc.*``, ``dram.*``, ``pe.*``) must
-    match key for key. Only the batched-only batch-size histogram
-    (``sim.batch.pairs_per_call``) is excluded from the comparison.
+    without the tile model), both metric-free — with no registry active
+    even inside an enclosing one, so the batched path consults cached
+    plan/schedule summaries and vectorized kernels — and under an active
+    registry, where every deterministic counter stream (``sim.*``,
+    ``emf.*``, ``cgc.*``, ``dram.*``, ``pe.*``) must match key for key.
+    Only the batched-only batch-size histogram
+    (``sim.batch.pairs_per_call``) is excluded from the comparison. The
+    same pairs then run at shrinking buffer sizes, down to one whose
+    cleanup windows fill the buffer.
     """
-    from ..obs.metrics import metrics_enabled
+    from ..cgc.summary import memoized_summaries
+    from ..obs.metrics import metrics_disabled, metrics_enabled
     from ..platforms import REGISTRY
     from ..sim import detailed as detailed_mod
 
@@ -609,22 +651,33 @@ def check_batched_vs_serial(context: CheckContext):
     # Fresh traces per run: new pair objects, so no summary memoized by
     # an earlier (possibly unmutated) invocation can mask a divergence.
     traces = small_traces(num_pairs=4, batch_size=2)
+    # Each metrics-on run unpickles its own traces, so plans and
+    # schedules memoized by an earlier run cannot hide the construction
+    # counters (``emf.filter.*``, ``cgc.aoe.*``) it compares.
+    pristine = pickle.dumps(traces)
     compared = 0
-    for platform in _PLATFORMS:
+    for platform in _PLATFORMS + _BUFFER_SWEEP:
         for label, build in configs(platform):
-            serial = build("serial").simulate_batches(traces).to_dict()
-            batched = build("batched").simulate_batches(traces).to_dict()
+            with metrics_disabled():
+                serial = build("serial").simulate_batches(traces).to_dict()
+                batched = build("batched").simulate_batches(traces).to_dict()
             _require(
                 serial == batched,
                 f"{label}: batched backend diverges from serial "
                 f"(metric-free): {diff_keys(serial, batched)}",
             )
             with metrics_enabled() as registry:
-                serial_m = build("serial").simulate_batches(traces).to_dict()
+                serial_m = (
+                    build("serial")
+                    .simulate_batches(pickle.loads(pristine))
+                    .to_dict()
+                )
                 serial_metrics = scrub(registry.as_dict())
             with metrics_enabled() as registry:
                 batched_m = (
-                    build("batched").simulate_batches(traces).to_dict()
+                    build("batched")
+                    .simulate_batches(pickle.loads(pristine))
+                    .to_dict()
                 )
                 batched_metrics = scrub(registry.as_dict())
             _require(
@@ -641,6 +694,20 @@ def check_batched_vs_serial(context: CheckContext):
                     f"{diff_keys(left, right)}",
                 )
             compared += 1
+    _require(
+        any(
+            summary.occupancy[summary.is_cleanup != 0].max(initial=0)
+            == _SMALLEST_BUFFER_NODES
+            for batch in traces
+            for pair_trace in batch.pair_traces
+            for (_, capacity, _, _), summary in memoized_summaries(
+                pair_trace.pair
+            ).items()
+            if capacity == _SMALLEST_BUFFER_NODES
+        ),
+        f"no cleanup window filled the {_SMALLEST_BUFFER_NODES}-node "
+        "buffer: the capacity bound of the cleanup memo went unexercised",
+    )
     return (
         f"{compared} simulator configs x 2 modes, results and metric "
         "streams bit-identical"
@@ -697,9 +764,11 @@ def check_serial_vs_parallel(context: CheckContext):
     # the workload to one chunk and leaves the chunk/merge path — the
     # thing this check exists for — unexercised. Force two chunks; the
     # pool still degrades to in-process execution where it must.
+    # The chunked side profiles through the workload memo and the disk
+    # trace cache; switched off, no earlier run's traces can feed it.
     with _patched(
         parallel_mod, "available_workers", lambda requested=None: 2
-    ):
+    ), _trace_cache_setting("off"):
         chunked = parallel_mod.parallel_simulate_workload(
             spec, ("CEGMA",), workers=2
         )
@@ -769,13 +838,11 @@ def check_trace_cache_on_off(context: CheckContext):
 
     spec = RunSpec.make("GMN-Li", "AIDS", 4, 2, 123)
     cache_dir = tempfile.mkdtemp(prefix="repro_validate_cache_")
-    previous = os.environ.get("REPRO_TRACE_CACHE")
     try:
-        os.environ["REPRO_TRACE_CACHE"] = cache_dir
-        common_mod.clear_workload_caches()
-        fresh = common_mod.traces_for(spec)  # profiles, fills the cache
-        common_mod.clear_workload_caches()
-        cached = common_mod.traces_for(spec)  # must hit the disk cache
+        with _trace_cache_setting(cache_dir):
+            fresh = common_mod.traces_for(spec)  # profiles, fills the cache
+            common_mod.clear_workload_caches()
+            cached = common_mod.traces_for(spec)  # must hit the disk cache
         _require(
             len(fresh) == len(cached),
             f"cache round-trip changed the batch count: "
@@ -793,11 +860,6 @@ def check_trace_cache_on_off(context: CheckContext):
             ),
         )
     finally:
-        common_mod.clear_workload_caches()
-        if previous is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = previous
         shutil.rmtree(cache_dir, ignore_errors=True)
     return f"{spec.stem}: cached replay bit-identical to fresh profile"
 

@@ -5,9 +5,13 @@ serial path is the specification, and `ScheduleSummary.from_schedule`
 of a real `WindowSchedule` is the ground truth they are compared to.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.cgc import summary as summary_mod
 from repro.cgc.summary import (
     ScheduleSummary,
     memoized_summaries,
@@ -146,3 +150,85 @@ class TestMemoAndStore:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError, match="unknown batched scheme"):
             schedule_summary_for(random_pair(1), "oracle-ish", 4)
+
+
+class TestPairEntry:
+    """The per-pair topology and cleanup memo keep builds exact."""
+
+    @pytest.mark.parametrize("scheme", sorted(FAST_BUILDERS))
+    @pytest.mark.parametrize(
+        "actives", [(None, None), ([0, 3], [1, 2]), ([], [1])]
+    )
+    def test_capacities_down_then_up_on_one_pair(self, scheme, actives):
+        pair = random_pair(31, n_t=16, n_q=18, e_t=40, e_q=45)
+        fast, serial = FAST_BUILDERS[scheme]
+        for capacity in (32, 8, 5, 2, 8, 32):
+            assert fast(pair, capacity, *actives) == (
+                ScheduleSummary.from_schedule(serial(pair, capacity, *actives))
+            ), capacity
+
+    def test_memoized_rounds_are_replayed(self, monkeypatch):
+        replays = []
+        original = summary_mod._CleanupRun.replay
+        monkeypatch.setattr(
+            summary_mod._CleanupRun,
+            "replay",
+            lambda run, recorder: replays.append(run) or original(run, recorder),
+        )
+        pair = random_pair(32, n_t=16, n_q=18, e_t=40, e_q=45)
+        # An empty active side leaves every edge to the cleanup sweep.
+        first = summarize_coordinated(pair, 64, [], [1])
+        second = summarize_coordinated(pair, 32, [], [1])
+        assert len(replays) == 1
+        assert second == ScheduleSummary.from_schedule(
+            coordinated_window_schedule(pair, 32, [], [1])
+        )
+        assert np.array_equal(second.to_array(), first.to_array())
+
+    def test_saturated_cleanup_windows_match_serial(self):
+        # A wheel: the hub's neighborhood outgrows a 3-node window, so
+        # cleanup windows fill the buffer after a roomy build memoized
+        # rounds for the same post-sweep edge state. (The single scheme
+        # leaves no cleanup here: its embedding windows cover every edge.)
+        edges = [(0, k) for k in range(1, 9)] + [
+            (k, k % 8 + 1) for k in range(1, 9)
+        ]
+        pair = GraphPair(
+            Graph.from_undirected_edges(9, edges),
+            Graph.from_undirected_edges(9, edges),
+        )
+        for capacity in (64, 3):
+            summary = summarize_coordinated(pair, capacity, [], [0])
+            assert summary == ScheduleSummary.from_schedule(
+                coordinated_window_schedule(pair, capacity, [], [0])
+            )
+        cleanup = summary.occupancy[summary.is_cleanup != 0]
+        assert cleanup.max() == 3
+
+    def test_entry_released_with_pair(self):
+        gc.collect()
+        before = len(summary_mod._SUMMARY_MEMO)
+        pair = random_pair(33)
+        schedule_summary_for(pair, "coordinated", 4)
+        assert len(summary_mod._SUMMARY_MEMO) == before + 1
+        alive = weakref.ref(pair)
+        del pair
+        gc.collect()
+        assert alive() is None
+        assert len(summary_mod._SUMMARY_MEMO) == before
+
+    def test_cleanup_memo_stays_within_bound(self, monkeypatch):
+        monkeypatch.setattr(summary_mod, "_SUMMARY_MEMO_PER_PAIR", 3)
+        pair = random_pair(34, n_t=16, n_q=18, e_t=40, e_q=45)
+        entry_sizes = []
+        for last in range(16):
+            # Each longer target prefix retires more edges in the sweep,
+            # so cleanup starts from a new edge state.
+            actives = (list(range(last + 1)), [0])
+            assert summarize_coordinated(pair, 64, *actives) == (
+                ScheduleSummary.from_schedule(
+                    coordinated_window_schedule(pair, 64, *actives)
+                )
+            )
+            entry_sizes.append(len(summary_mod._SUMMARY_MEMO[pair].cleanups))
+        assert max(entry_sizes) == 3

@@ -9,6 +9,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_metrics,
     metric_key,
+    metrics_disabled,
     metrics_enabled,
     set_metrics,
 )
@@ -287,6 +288,17 @@ class TestActivation:
         with pytest.raises(RuntimeError):
             with metrics_enabled():
                 raise RuntimeError("boom")
+        assert get_metrics() is None
+
+    def test_disabled_block_inside_enabled_one(self):
+        with metrics_enabled() as outer:
+            with metrics_disabled():
+                assert get_metrics() is None
+            assert get_metrics() is outer
+            with pytest.raises(RuntimeError):
+                with metrics_disabled():
+                    raise RuntimeError("boom")
+            assert get_metrics() is outer
         assert get_metrics() is None
 
     def test_set_metrics_returns_previous(self):

@@ -73,6 +73,17 @@ def test_quick_tier_passes(name):
     assert result.detail  # checks report what they covered
 
 
+def test_checks_leave_no_trace_cache(tmp_path, monkeypatch):
+    # The chunked leg of harness.serial_vs_parallel profiles through the
+    # workload memo; with the trace cache unset that would read and
+    # fill ./.trace_cache and let one run's traces feed the next.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
+    (result,) = validate.run_checks(["harness.serial_vs_parallel"], quick=True)
+    assert result.ok, result.detail
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestWorkloads:
     def test_byte_matrices_cover_length_regimes(self):
         shapes = {matrix.shape for matrix in byte_matrices()}

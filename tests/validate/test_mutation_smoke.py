@@ -9,6 +9,7 @@ mutations is decorative, not protective.
 import pytest
 
 import repro.validate as validate
+from repro.obs.metrics import metrics_enabled
 
 SMOKE_CASES = [
     (check.name, mutator)
@@ -36,3 +37,12 @@ def test_mutation_smoke_api(name):
     assert outcomes, f"{name} has no mutators"
     missed = [mutator for mutator, tripped in outcomes.items() if not tripped]
     assert missed == [], f"{name}: mutators not detected: {missed}"
+
+
+def test_mutation_smoke_trips_under_active_registry():
+    # `repro validate --smoke` runs inside metrics_enabled(); the
+    # metric-free legs must still take the metric-free paths there.
+    with metrics_enabled():
+        outcomes = validate.mutation_smoke("sim.batched_vs_serial", quick=True)
+    missed = [mutator for mutator, tripped in outcomes.items() if not tripped]
+    assert outcomes and missed == [], f"mutators not detected: {missed}"
